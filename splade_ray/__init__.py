@@ -8,7 +8,7 @@ SPARSE_INVERTED_INDEX build, retrievers.py:120-141 sparse top-k search):
     tokenize/analyze -> (term, doc_id, tf) -> salted groupby(term) shuffle
       -> delta-gap + varbyte posting lists w/ block-max metadata
       -> per-partition segments + lineage manifests + LSM merge
-      -> stateful actor-pool query engine (TAAT / DAAT / block-max WAND)
+      -> stateful actor-pool query engine (TAAT / block-max WAND)
 
 plus the large-scale training-data operators (dedup, similarity search,
 text stats, multimodal plumbing) under ``splade_ray.ops``.

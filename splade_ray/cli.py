@@ -625,10 +625,13 @@ def cmd_delete(args) -> int:
 def cmd_fields(args) -> int:
     """Index introspection (Elasticsearch ``_field_caps`` + index-stats
     shape): the fields/capabilities a consumer can query, straight from
-    the frozen MANIFEST — no postings touched."""
+    the frozen MANIFEST — no postings touched.  ``--index`` may be an
+    alias (resolved like every other index path)."""
     import json as _json
 
-    with open(os.path.join(args.index, "MANIFEST.json")) as f:
+    from .alias import resolve_index
+
+    with open(os.path.join(resolve_index(args.index), "MANIFEST.json")) as f:
         m = _json.load(f)
     has_pos = bool(m.get("positions"))
     rows = [
@@ -715,7 +718,7 @@ def main(argv=None) -> int:
     q.add_argument("--index", required=True)
     q.add_argument("--k", type=int, default=10)
     q.add_argument("--lang", default="")
-    q.add_argument("--scorer", default="taat", choices=["taat", "daat", "bmw"])
+    q.add_argument("--scorer", default="taat", choices=["taat", "bmw"])
     q.add_argument("--prefix", action="store_true",
                    help="treat TEXT as a term prefix (PrefixQuery)")
     q.add_argument("--fuzzy", action="store_true",
@@ -896,7 +899,7 @@ def main(argv=None) -> int:
     e.add_argument("--queries", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--k", type=int, default=10)
-    e.add_argument("--scorer", default="taat", choices=["taat", "daat", "bmw"])
+    e.add_argument("--scorer", default="taat", choices=["taat", "bmw"])
     e.add_argument("--concurrency", type=int, default=4)
     e.set_defaults(fn=cmd_eval)
 

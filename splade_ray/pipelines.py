@@ -27,7 +27,7 @@ from ray.data.aggregate import Sum
 
 from .build import build_index, prepare_batch
 from .corpus import documents_as_corpus_batch
-from .query import run_queries
+from .query import run_queries, run_queries_sharded
 
 # Shared query literals: the Ray side runs them through the engine, the SQL
 # side embeds them as VALUES — both from this one constant.
@@ -146,22 +146,20 @@ def bool_msm_topk(sf_dir: str, top_k: int = TOP_K):
     should tokens — the presence-count filter applied to complete sums
     before any cut (QueryEngine.search_bool(min_should_match=...)).
     Rank-identical to sql.bool_topk_sql(msm=...)."""
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, *_ in BOOL_MSM_QUERIES],
-                             type=pa.int64()),
-        "must": pa.array([m for _, m, *_ in BOOL_MSM_QUERIES],
-                         type=pa.list_(pa.string())),
-        "should": pa.array([s for _, _, s, *_ in BOOL_MSM_QUERIES],
-                           type=pa.list_(pa.string())),
-        "must_not": pa.array([n for _, _, _, n, _ in BOOL_MSM_QUERIES],
-                             type=pa.list_(pa.string())),
-        "min_should_match": pa.array([m for *_, m in BOOL_MSM_QUERIES],
-                                     type=pa.int64()),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, concurrency=2,
-                      query_kind="bool")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(_contract_index(sf_dir), _bool_table(BOOL_MSM_QUERIES),
+                  "bool", k=top_k)
+
+
+def _bool_table(rows: list[tuple]) -> pa.Table:
+    """(query_id, must, should, must_not[, min_should_match]) literals ->
+    the engine's bool query table."""
+    cols = {"query_id": pa.array([r[0] for r in rows], type=pa.int64())}
+    for i, c in enumerate(("must", "should", "must_not"), start=1):
+        cols[c] = pa.array([r[i] for r in rows], type=pa.list_(pa.string()))
+    if len(rows[0]) > 4:
+        cols["min_should_match"] = pa.array([r[4] for r in rows],
+                                            type=pa.int64())
+    return pa.table(cols)
 
 
 def _norm_first_token(queries: list[tuple[int, str]]) -> list[tuple[int, str]]:
@@ -315,26 +313,58 @@ def _contract_index(sf_dir: str) -> str:
     return idx
 
 
+def _text_table(rows: list[tuple[int, str]]) -> pa.Table:
+    """(query_id, text) literals -> the engine's query table."""
+    return pa.table({
+        "query_id": pa.array([q for q, _ in rows], type=pa.int64()),
+        "query": pa.array([s for _, s in rows], type=pa.string()),
+    })
+
+
 def _queries_table() -> pa.Table:
-    return pa.table(
-        {
-            "query_id": pa.array([q for q, _ in DOC_QUERIES], type=pa.int64()),
-            "query": pa.array([s for _, s in DOC_QUERIES]),
-        }
-    )
+    return _text_table(DOC_QUERIES)
 
 
-def bm25_topk(sf_dir: str, scorer: str = "taat"):
+def _serve(idx: str, table: pa.Table, kind: str, *, k: int = TOP_K,
+           scorer: str = "taat", concurrency: int = 2,
+           n_query_shards: int = 0, ints: tuple[str, ...] = ("rank",),
+           **engine_kwargs):
+    """Answer ``table`` with query kind ``kind`` over the index at ``idx``:
+    one QueryEngine pool of ``concurrency`` actors, or — with
+    ``n_query_shards`` — the doc-range fan-out (run_queries_sharded, one
+    actor per range), whose answers are identical by construction.  The
+    ``ints`` columns (int32 ranks) widen to int64."""
+    ds = rd.from_arrow(table)
+    kw = {"k": k, "scorer": scorer, "query_kind": kind,
+          "engine_kwargs": engine_kwargs or None}
+    if n_query_shards:
+        res = run_queries_sharded(ds, idx, n_query_shards=n_query_shards,
+                                  concurrency_per_shard=1, **kw)
+    else:
+        res = run_queries(ds, idx, concurrency=concurrency, **kw)
+    if not ints:
+        return res
+    return res.map_batches(lambda t: _i64(t, list(ints)),
+                           batch_format="pyarrow")
+
+
+def _sharded(single, doc: str, n_query_shards: int = 3):
+    """The doc-range-sharded contract twin of a single-pool wrapper: same
+    arguments, same oracle, answered through run_queries_sharded."""
+    def twin(sf_dir: str, *args, **kwargs):
+        return single(sf_dir, *args, n_query_shards=n_query_shards, **kwargs)
+
+    twin.__name__ = twin.__qualname__ = single.__name__ + "_sharded"
+    twin.__doc__ = doc
+    return twin
+
+
+def bm25_topk(sf_dir: str, scorer: str = "taat", *, n_query_shards: int = 0):
     """Flagship: build (or resume) the inverted index over the documents
     corpus, answer DOC_QUERIES via the actor-pool engine, rank-identical to
     the pure-SQL BM25 oracle (sql.bm25_topk_sql)."""
-    idx = _contract_index(sf_dir)
-    res = run_queries(
-        rd.from_arrow(_queries_table()), idx, k=TOP_K, scorer=scorer, concurrency=2
-    )
-    return res.map_batches(
-        lambda t: _i64(t, ["rank"]), batch_format="pyarrow"
-    )
+    return _serve(_contract_index(sf_dir), _queries_table(), "text",
+                  scorer=scorer, n_query_shards=n_query_shards)
 
 
 def prefix_topk(sf_dir: str, top_k: int = TOP_K):
@@ -347,13 +377,8 @@ def prefix_topk(sf_dir: str, top_k: int = TOP_K):
     rewrite; this is native-inverted-index capability (Lucene PrefixQuery)."""
     idx = _contract_index(sf_dir)
     prefs = norm_prefixes()
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in prefs], type=pa.int64()),
-        "query": pa.array([p for _, p in prefs]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="prefix")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    tbl = _text_table(prefs)
+    return _serve(idx, tbl, "prefix", k=top_k)
 
 
 def fuzzy_topk(sf_dir: str, top_k: int = TOP_K):
@@ -365,13 +390,8 @@ def fuzzy_topk(sf_dir: str, top_k: int = TOP_K):
     sql.fuzzy_topk_sql's levenshtein(term, token) <= 1 oracle."""
     idx = _contract_index(sf_dir)
     toks = norm_fuzzy()
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in toks], type=pa.int64()),
-        "query": pa.array([t for _, t in toks]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="fuzzy")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    tbl = _text_table(toks)
+    return _serve(idx, tbl, "fuzzy", k=top_k)
 
 
 def filtered_topk(sf_dir: str, top_k: int = TOP_K):
@@ -391,9 +411,7 @@ def filtered_topk(sf_dir: str, top_k: int = TOP_K):
         "dl_hi": pa.array([hi for *_, hi in FILTERED_QUERIES],
                           type=pa.int64()),
     })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="filtered")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, tbl, "filtered", k=top_k)
 
 
 def suggest_topk(sf_dir: str, n: int = 5):
@@ -407,10 +425,7 @@ def suggest_topk(sf_dir: str, n: int = 5):
 
     idx = _contract_index(sf_dir)
     prefs = norm_prefixes()
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in prefs], type=pa.int64()),
-        "query": pa.array([p for _, p in prefs]),
-    })
+    tbl = _text_table(prefs)
     return run_suggest(rd.from_arrow(tbl), idx, n=n, concurrency=2)
 
 
@@ -423,13 +438,8 @@ def fuzzy2_topk(sf_dir: str, top_k: int = TOP_K):
     sql.fuzzy_topk_sql's levenshtein(term, token) <= 2 oracle."""
     idx = _contract_index(sf_dir)
     toks = norm_fuzzy2()
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in toks], type=pa.int64()),
-        "query": pa.array([t for _, t in toks]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="fuzzy2")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    tbl = _text_table(toks)
+    return _serve(idx, tbl, "fuzzy2", k=top_k)
 
 
 def wildcard_topk(sf_dir: str, top_k: int = TOP_K):
@@ -441,13 +451,8 @@ def wildcard_topk(sf_dir: str, top_k: int = TOP_K):
     ``term LIKE pattern`` oracle (shared * -> % translation)."""
     idx = _contract_index(sf_dir)
     pats = norm_wildcards()
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in pats], type=pa.int64()),
-        "query": pa.array([p for _, p in pats]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="wildcard")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    tbl = _text_table(pats)
+    return _serve(idx, tbl, "wildcard", k=top_k)
 
 
 def bool_topk(sf_dir: str, top_k: int = TOP_K):
@@ -456,19 +461,8 @@ def bool_topk(sf_dir: str, top_k: int = TOP_K):
     ALL must tokens and NO must_not token, scored by summed BM25 units over
     the distinct must+should tokens (QueryEngine.search_bool).
     Rank-identical to sql.bool_topk_sql."""
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, *_ in BOOL_QUERIES], type=pa.int64()),
-        "must": pa.array([m for _, m, _, _ in BOOL_QUERIES],
-                         type=pa.list_(pa.string())),
-        "should": pa.array([s for _, _, s, _ in BOOL_QUERIES],
-                           type=pa.list_(pa.string())),
-        "must_not": pa.array([n for _, _, _, n in BOOL_QUERIES],
-                             type=pa.list_(pa.string())),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="bool")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(_contract_index(sf_dir), _bool_table(BOOL_QUERIES), "bool",
+                  k=top_k)
 
 
 # Query-string queries: raw Lucene/ES mini-language strings, parsed by
@@ -508,13 +502,8 @@ def query_string_topk(sf_dir: str, top_k: int = TOP_K):
     boost-weighted scoring qtf (QueryEngine.search_query_string).
     Rank-identical to sql.bool_topk_sql(parsed, boosts=parsed)."""
     idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in QS_QUERIES], type=pa.int64()),
-        "query": pa.array([s for _, s in QS_QUERIES], type=pa.string()),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="query_string")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    tbl = _text_table(QS_QUERIES)
+    return _serve(idx, tbl, "query_string", k=top_k)
 
 
 # DisjunctionMax queries: (qid, [clause strings]) — each clause scores as
@@ -542,7 +531,7 @@ BOOSTING_QUERIES: list[tuple[int, str, str]] = [
 NEG_BOOST = (1, 2)  # negative_boost 0.5 as an exact rational
 
 
-def dis_max_topk(sf_dir: str, top_k: int = TOP_K):
+def dis_max_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
     """Disjunction-max search (Lucene DisjunctionMaxQuery / ES dis_max):
     per DISMAX_QUERIES row, each clause scores as its own complete BM25
     bag; per doc, combined = best clause + DISMAX_TIE x (sum of the other
@@ -556,13 +545,11 @@ def dis_max_topk(sf_dir: str, top_k: int = TOP_K):
         "clauses": pa.array([c for _, c in DISMAX_QUERIES],
                             type=pa.list_(pa.string())),
     })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, concurrency=2,
-                      query_kind="dis_max",
-                      engine_kwargs={"dismax_tie": DISMAX_TIE})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, tbl, "dis_max", k=top_k, dismax_tie=DISMAX_TIE,
+                  n_query_shards=n_query_shards)
 
 
-def boosting_topk(sf_dir: str, top_k: int = TOP_K):
+def boosting_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
     """Boosting query (Lucene BoostingQuery / ES boosting): BM25 over the
     positive bag, docs also matching the negative bag demoted by
     NEG_BOOST (exact rational, floor division), never excluded
@@ -575,40 +562,29 @@ def boosting_topk(sf_dir: str, top_k: int = TOP_K):
         "query": pa.array([p for _, p, _ in BOOSTING_QUERIES]),
         "negative": pa.array([n for _, _, n in BOOSTING_QUERIES]),
     })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, concurrency=2,
-                      query_kind="boosting",
-                      engine_kwargs={"negative_boost": NEG_BOOST})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, tbl, "boosting", k=top_k, negative_boost=NEG_BOOST,
+                  n_query_shards=n_query_shards)
 
 
-def sort_topk(sf_dir: str, top_k: int = TOP_K, ascending: bool = False):
+def sort_topk(sf_dir: str, top_k: int = TOP_K, ascending: bool = False, *,
+              n_query_shards: int = 0):
     """Field sort (Elasticsearch ``sort: [{doc_len: desc}]`` / Lucene
     SortField): per DOC_QUERIES entry, the query filters and the page
     orders by the doc_len doc-value (doc_id tiebreak) — no relevance
     scoring, one forward-array gather per query.  Value-identical to
     sql.sort_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="sort",
-                      engine_kwargs={"sort_ascending": ascending})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "sort", k=top_k,
+                  sort_ascending=ascending, n_query_shards=n_query_shards)
 
 
-def sort_topk_sharded(sf_dir: str, top_k: int = TOP_K,
-                      ascending: bool = False):
-    """sort_topk through the doc-range fan-out (per-shard pages re-sorted
-    on the same key and re-cut) — same oracle as sort_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="sort",
-        engine_kwargs={"sort_ascending": ascending})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+sort_topk_sharded = _sharded(sort_topk, """
+    sort_topk through the doc-range fan-out (per-shard pages re-sorted
+    on the same key and re-cut) — same oracle as sort_topk.""")
 
 
-def function_score_topk(sf_dir: str, top_k: int = TOP_K):
+def function_score_topk(sf_dir: str, top_k: int = TOP_K, *,
+                        n_query_shards: int = 0):
     """Function-score query (ES ``function_score`` with
     ``field_value_factor`` on the doc_len doc-value, boost_mode multiply
     / Lucene FunctionScoreQuery): per DOC_QUERIES entry, final units =
@@ -616,93 +592,46 @@ def function_score_topk(sf_dir: str, top_k: int = TOP_K):
     (QueryEngine.search_function_score).  Rank- and score-identical to
     sql.function_score_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="function_score")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "function_score", k=top_k,
+                  n_query_shards=n_query_shards)
 
 
-def function_score_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """function_score_topk through the doc-range fan-out (per-range sums
+function_score_topk_sharded = _sharded(function_score_topk, """
+    function_score_topk through the doc-range fan-out (per-range sums
     are complete and the doc_len factor is per-doc, so per-shard units
-    are final; plain top-k merge) — same oracle as function_score_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="function_score")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    are final; plain top-k merge) — same oracle as function_score_topk.""")
 
 
 TOP_HITS_N = 3  # per-lang-bucket size for the top_hits aggregation
 
 
-def top_hits_agg(sf_dir: str, group_n: int = TOP_HITS_N):
+def top_hits_agg(sf_dir: str, group_n: int = TOP_HITS_N, *,
+                 n_query_shards: int = 0):
     """Per-bucket top hits (Elasticsearch ``terms`` agg + ``top_hits``
     sub-agg / Lucene grouping TopGroups): per DOC_QUERIES entry and lang
     doc-value bucket, the best ``group_n`` docs over the FULL hit set —
     served from the resident lang sidecar like collapse (one gather, no
     postings re-read).  Value-identical to sql.top_hits_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                      query_kind="top_hits",
-                      engine_kwargs={"group_n": group_n})
-    return res.map_batches(lambda t: _i64(t, ["grank"]),
-                           batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "top_hits", group_n=group_n,
+                  ints=("grank",), n_query_shards=n_query_shards)
 
 
-def top_hits_agg_sharded(sf_dir: str, group_n: int = TOP_HITS_N):
-    """top_hits_agg through the doc-range fan-out (per-shard bucket pages
-    re-ranked and re-cut in the merge) — same oracle as top_hits_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="top_hits",
-        engine_kwargs={"group_n": group_n})
-    return res.map_batches(lambda t: _i64(t, ["grank"]),
-                           batch_format="pyarrow")
+top_hits_agg_sharded = _sharded(top_hits_agg, """
+    top_hits_agg through the doc-range fan-out (per-shard bucket pages
+    re-ranked and re-cut in the merge) — same oracle as top_hits_agg.""")
 
 
-def dis_max_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """dis_max_topk through the doc-range fan-out (complete per-range
+dis_max_topk_sharded = _sharded(dis_max_topk, """
+    dis_max_topk through the doc-range fan-out (complete per-range
     clause sums -> per-range combined pages, plain top-k merge) — same
-    oracle as dis_max_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in DISMAX_QUERIES],
-                             type=pa.int64()),
-        "clauses": pa.array([c for _, c in DISMAX_QUERIES],
-                            type=pa.list_(pa.string())),
-    })
-    res = run_queries_sharded(
-        rd.from_arrow(tbl), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="dis_max",
-        engine_kwargs={"dismax_tie": DISMAX_TIE})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    oracle as dis_max_topk.""")
 
 
-def boosting_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """boosting_topk through the doc-range fan-out (the demotion is a
+boosting_topk_sharded = _sharded(boosting_topk, """
+    boosting_topk through the doc-range fan-out (the demotion is a
     per-doc predicate over complete range sums, plain top-k merge) — same
-    oracle as boosting_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _, _ in BOOSTING_QUERIES],
-                             type=pa.int64()),
-        "query": pa.array([p_ for _, p_, _ in BOOSTING_QUERIES]),
-        "negative": pa.array([n for _, _, n in BOOSTING_QUERIES]),
-    })
-    res = run_queries_sharded(
-        rd.from_arrow(tbl), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="boosting",
-        engine_kwargs={"negative_boost": NEG_BOOST})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    oracle as boosting_topk.""")
 
 
 # --------------------------------------------------------- wider coverage --
@@ -1585,20 +1514,12 @@ def phrase_near_topk(sf_dir: str, top_k: int = TOP_K, ordered: bool = True):
                                require_all_terms=True)
 
 
-def bm25_topk_sharded(sf_dir: str):
-    """Doc-partitioned query fan-out (SURVEY §2.4 A4): the ordinal space is
+bm25_topk_sharded = _sharded(bm25_topk, """
+    Doc-partitioned query fan-out (SURVEY §2.4 A4): the ordinal space is
     split across independent QueryEngine pools, per-range top-k merged by a
     tiny groupby(query_id) — rank/score-identical to bm25_topk, same SQL
     oracle.  This is the 100x serving shape (each pool's actors resident on
-    only their slice of the index)."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=TOP_K, scorer="taat",
-        n_query_shards=2, concurrency_per_shard=1,
-    )
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    only their slice of the index).""", n_query_shards=2)
 
 
 def bm25_topk_docs(sf_dir: str):
@@ -1668,9 +1589,7 @@ def mlt_topk(sf_dir: str, top_k: int = TOP_K):
         "must_not": pa.array([[] for _ in qids], type=pa.list_(pa.string())),
         "exclude_ids": pa.array(excludes, type=pa.list_(pa.int64())),
     })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, scorer="taat",
-                      concurrency=2, query_kind="bool")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, tbl, "bool", k=top_k)
 
 
 SIG_MAX_TERMS = 10  # per query
@@ -1824,14 +1743,8 @@ def synonym_topk(sf_dir: str, top_k: int = TOP_K):
     expansions, then plain BM25 over the expanded bag.  Rank-identical to
     sql.qterms_topk_sql over expand_synonym_qterms' rows."""
     idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in SYN_QUERIES], type=pa.int64()),
-        "query": pa.array([s for _, s in SYN_QUERIES]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, concurrency=2,
-                      query_kind="synonym",
-                      engine_kwargs={"synonyms": SYNONYMS})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    tbl = _text_table(SYN_QUERIES)
+    return _serve(idx, tbl, "synonym", k=top_k, synonyms=SYNONYMS)
 
 
 def regexp_topk(sf_dir: str, top_k: int = TOP_K):
@@ -1842,13 +1755,8 @@ def regexp_topk(sf_dir: str, top_k: int = TOP_K):
     Rank-identical to sql.regexp_topk_sql's regexp_full_match oracle."""
     idx = _contract_index(sf_dir)
     pats = norm_regexps()
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in pats], type=pa.int64()),
-        "query": pa.array([p for _, p in pats]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, concurrency=2,
-                      query_kind="regexp")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    tbl = _text_table(pats)
+    return _serve(idx, tbl, "regexp", k=top_k)
 
 
 def search_after_topk(sf_dir: str, top_k: int = TOP_K):
@@ -1879,9 +1787,7 @@ def search_after_topk(sf_dir: str, top_k: int = TOP_K):
                                  type=pa.int64()),
         "cursor_doc": pa.array([last[q][1] for q in qids], type=pa.int64()),
     })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, concurrency=2,
-                      query_kind="search_after")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, tbl, "search_after", k=top_k)
 
 
 def percolate(sf_dir: str):
@@ -1939,7 +1845,8 @@ RESCORE_WINDOW = 50
 
 
 def rescore_topk(sf_dir: str, top_k: int = TOP_K,
-                 window: int = RESCORE_WINDOW):
+                 window: int = RESCORE_WINDOW, *,
+                 n_query_shards: int = 0):
     """Two-phase ranking (Elasticsearch ``rescore``): BM25 selects the
     top-``window`` docs per DOC_QUERIES entry; only those are re-scored
     with the IDF-coordination score and re-ranked by combined units
@@ -1947,27 +1854,16 @@ def rescore_topk(sf_dir: str, top_k: int = TOP_K,
     docs per query, never the corpus — the serving shape for costly
     second-phase scorers.  Rank-identical to sql.rescore_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="rescore",
-                      engine_kwargs={"rescore_window": window})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "rescore", k=top_k,
+                  rescore_window=window, n_query_shards=n_query_shards)
 
 
-def rescore_topk_sharded(sf_dir: str, top_k: int = TOP_K,
-                         window: int = RESCORE_WINDOW):
-    """rescore_topk through the doc-range fan-out: each range runs the
+rescore_topk_sharded = _sharded(rescore_topk, """
+    rescore_topk through the doc-range fan-out: each range runs the
     window-partial (its complete-sums top-``window`` with bm25 AND coord
     units); the merge re-cuts the GLOBAL window over the union and
     combines — exact because per-range sums are complete, so per-range
-    windows cover the global one.  Same oracle as rescore_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="rescore",
-        engine_kwargs={"rescore_window": window})
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    windows cover the global one.  Same oracle as rescore_topk.""")
 
 
 def explain_top1(sf_dir: str):
@@ -1985,8 +1881,7 @@ def explain_top1(sf_dir: str):
         "query": pa.array([qtext[q] for q in qids]),
         "doc_id": pa.array([top1[q] for q in qids], type=pa.int64()),
     })
-    return run_queries(rd.from_arrow(tbl), idx, concurrency=2,
-                       query_kind="explain")
+    return _serve(idx, tbl, "explain", ints=())
 
 
 def highlight_topk(sf_dir: str, top_k: int = TOP_K, window: int = HL_WINDOW):
@@ -2052,7 +1947,7 @@ def highlight_topk(sf_dir: str, top_k: int = TOP_K, window: int = HL_WINDOW):
     })
 
 
-def collapse_topk(sf_dir: str, top_k: int = TOP_K):
+def collapse_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
     """Field-collapsed search (Elasticsearch ``collapse``, Lucene grouping):
     each DOC_QUERIES entry ranks ALL matching docs, keeps the single
     best-ranked doc per ``lang`` doc-value group, and returns the top-k
@@ -2064,12 +1959,11 @@ def collapse_topk(sf_dir: str, top_k: int = TOP_K):
     sql.collapse_topk_sql.  Reference analogue: none — Milvus has no
     grouping; this is native-index capability."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="collapse")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "collapse", k=top_k,
+                  n_query_shards=n_query_shards)
 
 
-def lang_terms_agg(sf_dir: str):
+def lang_terms_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Terms aggregation over the FULL hit set (Elasticsearch ``terms``
     aggregation with a ``max`` sub-aggregation — not the top-k page,
     which search_facets already covers): per (query, lang doc-value
@@ -2079,8 +1973,8 @@ def lang_terms_agg(sf_dir: str):
     versus a hit-set-sized shuffle join against the docs table.
     Value-identical to sql.lang_terms_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx,
-                       concurrency=2, query_kind="lang_agg")
+    return _serve(idx, _queries_table(), "lang_agg", ints=(),
+                  n_query_shards=n_query_shards)
 
 
 HIST_WIDTH = 16
@@ -2094,9 +1988,7 @@ def dl_histogram(sf_dir: str, width: int = HIST_WIDTH):
     bincount per query, hits never leave the actor.  Value-identical to
     sql.dl_histogram_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="dl_hist",
-                       engine_kwargs={"hist_width": width})
+    return _serve(idx, _queries_table(), "dl_hist", hist_width=width, ints=())
 
 
 # Explicit [lo, hi) doc_len buckets for the range aggregation (ES range
@@ -2105,26 +1997,25 @@ def dl_histogram(sf_dir: str, width: int = HIST_WIDTH):
 DL_RANGES: list[tuple[int, "int | None"]] = [(0, 40), (40, 70), (70, None)]
 
 
-def stats_agg(sf_dir: str):
+def stats_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Stats aggregation over the FULL hit set (Elasticsearch ``stats``
     agg on a numeric doc-value): per DOC_QUERIES entry, (n_hits, min, max,
     sum, avg) of doc_len across every live matching doc — one forward-array
     gather + four numpy reductions per query, hits never leave the actor.
     Value-identical to sql.stats_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="stats")
+    return _serve(idx, _queries_table(), "stats", ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def range_agg(sf_dir: str):
+def range_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Range aggregation over the FULL hit set (Elasticsearch ``range``
     agg on a numeric doc-value): per DOC_QUERIES entry and DL_RANGES
     bucket, the live matching-doc count (empty buckets omitted, like the
     GROUP BY oracle).  Value-identical to sql.range_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="range",
-                       engine_kwargs={"dl_ranges": DL_RANGES})
+    return _serve(idx, _queries_table(), "range", dl_ranges=DL_RANGES, ints=(),
+                  n_query_shards=n_query_shards)
 
 
 # mget contract predicate: docs whose RAW path id ≡ MGET_RESIDUE (mod
@@ -2142,7 +2033,7 @@ def _mget_queries_table(idx: str) -> pa.Table:
     })
 
 
-def mget_docs(sf_dir: str):
+def mget_docs(sf_dir: str, *, n_query_shards: int = 0):
     """Forward-index multi-get (Elasticsearch mget / ids query; Milvus
     Collection.get — the reference fetches hit metadata by pk,
     retrievers.py:146): doc-values (doc_id, doc_len, lang) for an explicit
@@ -2150,20 +2041,14 @@ def mget_docs(sf_dir: str):
     access.  The id list is the shared residue predicate so the oracle can
     render it in SQL.  Value-identical to sql.mget_docs_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_mget_queries_table(idx)), idx,
-                       concurrency=1, query_kind="mget")
+    return _serve(idx, _mget_queries_table(idx), "mget", concurrency=1,
+                  ints=(), n_query_shards=n_query_shards)
 
 
-def mget_docs_sharded(sf_dir: str):
-    """mget_docs through the doc-range fan-out: each range resolves only
+mget_docs_sharded = _sharded(mget_docs, """
+    mget_docs through the doc-range fan-out: each range resolves only
     its own ordinals (absent ids drop), merged by union + doc_id re-sort —
-    same oracle as mget_docs."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_mget_queries_table(idx)), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="mget")
+    same oracle as mget_docs.""")
 
 
 # term-vectors doc selector: a second residue predicate (distinct from
@@ -2217,29 +2102,23 @@ def term_vectors(sf_dir: str):
     return tv.map_batches(_with_df, batch_format="pyarrow")
 
 
-def lang_stats_agg(sf_dir: str):
+def lang_stats_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Terms aggregation with a stats sub-agg (Elasticsearch ``terms`` +
     ``stats`` sub-aggregation): per DOC_QUERIES entry and lang doc-value
     bucket, (n_hits, min, max, sum, avg) of doc_len over EVERY live
     matching doc.  Value-identical to sql.lang_stats_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="lang_stats")
+    return _serve(idx, _queries_table(), "lang_stats", ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def lang_stats_agg_sharded(sf_dir: str):
-    """lang_stats_agg through the doc-range fan-out (per-(query, lang)
+lang_stats_agg_sharded = _sharded(lang_stats_agg, """
+    lang_stats_agg through the doc-range fan-out (per-(query, lang)
     counts/sums add, mins min, maxs max; avg recomputed from exact
-    integer sums) — same oracle as lang_stats_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="lang_stats")
+    integer sums) — same oracle as lang_stats_agg.""")
 
 
-def ext_stats_agg(sf_dir: str):
+def ext_stats_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Extended-stats aggregation over the FULL hit set (Elasticsearch
     ``extended_stats`` agg on a numeric doc-value): stats_agg plus the
     exact integer sum of squares — the sufficient statistic for variance /
@@ -2247,8 +2126,8 @@ def ext_stats_agg(sf_dir: str):
     merges add n/sum/sum_sq and re-derive losslessly, zero approximation).
     Value-identical to sql.ext_stats_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="ext_stats")
+    return _serve(idx, _queries_table(), "ext_stats", ints=(),
+                  n_query_shards=n_query_shards)
 
 
 # random_score seed — both the engine hash (query.h63) and the SQL oracle
@@ -2256,7 +2135,8 @@ def ext_stats_agg(sf_dir: str):
 RS_SEED = 42
 
 
-def random_score_topk(sf_dir: str, top_k: int = TOP_K):
+def random_score_topk(sf_dir: str, top_k: int = TOP_K, *,
+                      n_query_shards: int = 0):
     """Seeded random-score ranking (Elasticsearch ``function_score`` +
     ``random_score`` with an explicit seed and field — deterministic per
     (seed, doc)): per DOC_QUERIES entry, the hit set ranked by the
@@ -2265,11 +2145,8 @@ def random_score_topk(sf_dir: str, top_k: int = TOP_K):
     serving-time sampler.  Per-shard top-k merges exactly (selection by a
     per-doc key).  Rank-identical to sql.random_score_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="random_score",
-                      engine_kwargs={"random_seed": RS_SEED})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "random_score", k=top_k,
+                  random_seed=RS_SEED, n_query_shards=n_query_shards)
 
 
 # adjacency_matrix cells: (pair_id, filter query A, filter query B).
@@ -2283,7 +2160,7 @@ ADJ_PAIRS: list[tuple[int, str, str]] = [
 ]
 
 
-def adjacency_matrix(sf_dir: str):
+def adjacency_matrix(sf_dir: str, *, n_query_shards: int = 0):
     """Adjacency-matrix aggregation (Elasticsearch ``adjacency_matrix``
     agg): per ADJ_PAIRS cell, the number of live docs matching BOTH filter
     queries (presence = positive quantized BM25 sum, the shared hit rule).
@@ -2291,12 +2168,9 @@ def adjacency_matrix(sf_dir: str):
     exactly one range, so per-shard cells ADD — an exactly distributed
     set-intersection size.  Value-identical to sql.adjacency_matrix_sql."""
     idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([p for p, _, _ in ADJ_PAIRS], type=pa.int64()),
-        "query": pa.array([f"{a}|||{b}" for _, a, b in ADJ_PAIRS]),
-    })
-    return run_queries(rd.from_arrow(tbl), idx, concurrency=2,
-                       query_kind="adjacency")
+    tbl = _text_table([(p, f"{a}|||{b}") for p, a, b in ADJ_PAIRS])
+    return _serve(idx, tbl, "adjacency", ints=(),
+                  n_query_shards=n_query_shards)
 
 
 # pinned set: the first PIN_N doc_ids (ASC) whose RAW path id satisfies
@@ -2307,7 +2181,7 @@ PIN_RESIDUE = 5
 PIN_N = 4
 
 
-def pinned_topk(sf_dir: str, top_k: int = TOP_K):
+def pinned_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
     """Pinned query (Elasticsearch ``pinned`` query / Solr
     QueryElevationComponent): per DOC_QUERIES entry, the PIN_N promoted
     docs rank first (doc_id ASC, score = their complete BM25 sum — 0 when
@@ -2317,11 +2191,8 @@ def pinned_topk(sf_dir: str, top_k: int = TOP_K):
     idx = _contract_index(sf_dir)
     pins = [int(i) for i in
             np.sort(_ids_by_residue(idx, PIN_MOD, PIN_RESIDUE))[:PIN_N]]
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="pinned",
-                      engine_kwargs={"pinned_ids": pins})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "pinned", k=top_k, pinned_ids=pins,
+                  n_query_shards=n_query_shards)
 
 
 # term-suggester inputs: misspellings of real corpus terms (deletion /
@@ -2355,16 +2226,9 @@ def term_suggest(sf_dir: str):
     frozen in the dictionary).  Value-identical to sql.term_suggest_sql."""
     idx = _contract_index(sf_dir)
     toks = norm_suggest_tokens()
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in toks], type=pa.int64()),
-        "query": pa.array([t for _, t in toks]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, concurrency=2,
-                      query_kind="term_suggest",
-                      engine_kwargs={"suggest_n": SUGGEST_N,
-                                     "suggest_max_edits": SUGGEST_MAX_EDITS})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    tbl = _text_table(toks)
+    return _serve(idx, tbl, "term_suggest", suggest_n=SUGGEST_N,
+                  suggest_max_edits=SUGGEST_MAX_EDITS)
 
 
 def rank_eval(sf_dir: str, top_k: int = TOP_K):
@@ -2376,8 +2240,7 @@ def rank_eval(sf_dir: str, top_k: int = TOP_K):
     derive exactly — no float crosses the oracle boundary.
     Value-identical to sql.rank_eval_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                       concurrency=2, query_kind="rank_eval")
+    return _serve(idx, _queries_table(), "rank_eval", k=top_k, ints=())
 
 
 # constant_score boost — a non-1.0 value proves the constant actually
@@ -2385,18 +2248,16 @@ def rank_eval(sf_dir: str, top_k: int = TOP_K):
 CONST_BOOST = 1.5
 
 
-def constant_score_topk(sf_dir: str, top_k: int = TOP_K):
+def constant_score_topk(sf_dir: str, top_k: int = TOP_K, *,
+                        n_query_shards: int = 0):
     """Constant-score query (Elasticsearch ``constant_score`` / Lucene
     ConstantScoreQuery): per DOC_QUERIES entry, the text acts purely as a
     filter — every live matching doc scores CONST_BOOST, so the page is
     the first k hits in doc_id order.  Rank-identical to
     sql.constant_score_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="constant_score",
-                      engine_kwargs={"const_boost": CONST_BOOST})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "constant_score", k=top_k,
+                  const_boost=CONST_BOOST, n_query_shards=n_query_shards)
 
 
 # rank_feature saturation pivot (ES defaults to the field's approximate
@@ -2404,7 +2265,8 @@ def constant_score_topk(sf_dir: str, top_k: int = TOP_K):
 RF_PIVOT = 50
 
 
-def rank_feature_topk(sf_dir: str, top_k: int = TOP_K):
+def rank_feature_topk(sf_dir: str, top_k: int = TOP_K, *,
+                      n_query_shards: int = 0):
     """Rank-feature query (Elasticsearch ``rank_feature`` + ``saturation``
     on a numeric doc-value): per DOC_QUERIES entry, hits rank by the
     integer-quantized saturation key (doc_len * SCALE) // (doc_len +
@@ -2412,22 +2274,19 @@ def rank_feature_topk(sf_dir: str, top_k: int = TOP_K):
     the quantization bit-exact.  Rank-identical to
     sql.rank_feature_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="rank_feature",
-                      engine_kwargs={"rf_pivot": RF_PIVOT})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "rank_feature", k=top_k,
+                  rf_pivot=RF_PIVOT, n_query_shards=n_query_shards)
 
 
-def mad_agg(sf_dir: str):
+def mad_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Median-absolute-deviation aggregation over the FULL hit set
     (Elasticsearch ``median_absolute_deviation`` agg — EXACT here, not
     t-digest: both medians are discrete quantiles over the bounded
     doc_len value histogram, so sharded merges recompute identical
     values from summed histograms).  Value-identical to sql.mad_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="mad")
+    return _serve(idx, _queries_table(), "mad", ints=(),
+                  n_query_shards=n_query_shards)
 
 
 # composite-agg page spec: (lang ASC, doc_len-histogram ASC) sources,
@@ -2438,7 +2297,7 @@ COMP_SIZE = 4
 COMP_AFTER = ("de", 16)
 
 
-def composite_agg(sf_dir: str):
+def composite_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Composite aggregation (Elasticsearch ``composite`` agg, two
     sources: lang terms ASC + doc_len histogram ASC) with after-key
     pagination: per DOC_QUERIES entry, the COMP_SIZE buckets strictly
@@ -2447,202 +2306,107 @@ def composite_agg(sf_dir: str):
     shards merge exactly by summing per-bucket counts before the
     after-filter + cut.  Value-identical to sql.composite_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="composite",
-                       engine_kwargs={"comp_width": COMP_WIDTH,
-                                      "comp_size": COMP_SIZE,
-                                      "comp_after": COMP_AFTER})
+    return _serve(idx, _queries_table(), "composite", comp_width=COMP_WIDTH,
+                  comp_size=COMP_SIZE, comp_after=COMP_AFTER, ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def cardinality_agg(sf_dir: str):
+def cardinality_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Cardinality aggregation over the FULL hit set (Elasticsearch
     ``cardinality`` agg on the lang doc-value): per DOC_QUERIES entry, the
     DISTINCT lang count across every live matching doc — exact (small
     doc-value domain; ES's HLL approximation is unnecessary), one gather +
     np.unique per query.  Value-identical to sql.cardinality_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="cardinality")
+    return _serve(idx, _queries_table(), "cardinality", ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def percentiles_agg(sf_dir: str):
+def percentiles_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Percentiles aggregation over the FULL hit set (Elasticsearch
     ``percentiles`` agg on a numeric doc-value): per DOC_QUERIES entry,
     exact discrete p25/p50/p75/p99 of doc_len across every live matching
     doc (DuckDB quantile_disc semantics — query.disc_percentiles).
     Value-identical to sql.percentiles_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="percentiles")
+    return _serve(idx, _queries_table(), "percentiles", ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def cardinality_agg_sharded(sf_dir: str):
-    """cardinality_agg through the doc-range fan-out: per-shard partials
+cardinality_agg_sharded = _sharded(cardinality_agg, """
+    cardinality_agg through the doc-range fan-out: per-shard partials
     are the distinct (query, lang) pairs of their ordinal range, merged by
     distinct-union size — exact at any shard count.  Same oracle as
-    cardinality_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="cardinality")
+    cardinality_agg.""")
 
 
-def percentiles_agg_sharded(sf_dir: str):
-    """percentiles_agg through the doc-range fan-out: per-shard partials
+percentiles_agg_sharded = _sharded(percentiles_agg, """
+    percentiles_agg through the doc-range fan-out: per-shard partials
     are exact (dl, count) value histograms (bounded by the doc_len domain,
     not the hit count), summed then reduced to EXACT percentiles — the
     bounded-domain alternative to t-digest merging, zero approximation
-    error.  Same oracle as percentiles_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="percentiles")
+    error.  Same oracle as percentiles_agg.""")
 
 
-def stats_agg_sharded(sf_dir: str):
-    """stats_agg through the doc-range fan-out (counts/sums add, mins min,
+stats_agg_sharded = _sharded(stats_agg, """
+    stats_agg through the doc-range fan-out (counts/sums add, mins min,
     maxs max, avg recomputed from exact integer sums) — same oracle as
-    stats_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="stats")
+    stats_agg.""")
 
 
-def range_agg_sharded(sf_dir: str):
-    """range_agg through the doc-range fan-out (per-bucket counts sum
-    across ranges) — same oracle as range_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="range",
-        engine_kwargs={"dl_ranges": DL_RANGES})
+range_agg_sharded = _sharded(range_agg, """
+    range_agg through the doc-range fan-out (per-bucket counts sum
+    across ranges) — same oracle as range_agg.""")
 
 
-def ext_stats_agg_sharded(sf_dir: str):
-    """ext_stats_agg through the doc-range fan-out (counts/sums/sum_sqs
+ext_stats_agg_sharded = _sharded(ext_stats_agg, """
+    ext_stats_agg through the doc-range fan-out (counts/sums/sum_sqs
     add, mins min, maxs max; floats re-derived from the exact merged
-    integers) — same oracle as ext_stats_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="ext_stats")
+    integers) — same oracle as ext_stats_agg.""")
 
 
-def random_score_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """random_score_topk through the doc-range fan-out (selection by a
+random_score_topk_sharded = _sharded(random_score_topk, """
+    random_score_topk through the doc-range fan-out (selection by a
     per-doc hash key: every doc lives in exactly one range, so the union
-    re-cut is the global page) — same oracle as random_score_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="random_score",
-        engine_kwargs={"random_seed": RS_SEED})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    re-cut is the global page) — same oracle as random_score_topk.""")
 
 
-def adjacency_matrix_sharded(sf_dir: str):
-    """adjacency_matrix through the doc-range fan-out (per-shard
+adjacency_matrix_sharded = _sharded(adjacency_matrix, """
+    adjacency_matrix through the doc-range fan-out (per-shard
     intersection cells ADD — presence sets are complete per range) —
-    same oracle as adjacency_matrix."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([p for p, _, _ in ADJ_PAIRS], type=pa.int64()),
-        "query": pa.array([f"{a}|||{b}" for _, a, b in ADJ_PAIRS]),
-    })
-    return run_queries_sharded(
-        rd.from_arrow(tbl), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="adjacency")
+    same oracle as adjacency_matrix.""")
 
 
-def pinned_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """pinned_topk through the doc-range fan-out (each range owns its
+pinned_topk_sharded = _sharded(pinned_topk, """
+    pinned_topk through the doc-range fan-out (each range owns its
     pinned ordinals; the merge unions the pinned legs doc_id ASC and
-    re-cuts the organic legs) — same oracle as pinned_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    pins = [int(i) for i in
-            np.sort(_ids_by_residue(idx, PIN_MOD, PIN_RESIDUE))[:PIN_N]]
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="pinned",
-        engine_kwargs={"pinned_ids": pins})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    re-cuts the organic legs) — same oracle as pinned_topk.""")
 
 
-def constant_score_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """constant_score_topk through the doc-range fan-out (first-k-by-
-    doc_id pages re-cut) — same oracle as constant_score_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="constant_score",
-        engine_kwargs={"const_boost": CONST_BOOST})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+constant_score_topk_sharded = _sharded(constant_score_topk, """
+    constant_score_topk through the doc-range fan-out (first-k-by-
+    doc_id pages re-cut) — same oracle as constant_score_topk.""")
 
 
-def rank_feature_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """rank_feature_topk through the doc-range fan-out (plain top-k merge
+rank_feature_topk_sharded = _sharded(rank_feature_topk, """
+    rank_feature_topk through the doc-range fan-out (plain top-k merge
     — the float score is an exact image of the integer saturation key) —
-    same oracle as rank_feature_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="rank_feature",
-        engine_kwargs={"rf_pivot": RF_PIVOT})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    same oracle as rank_feature_topk.""")
 
 
-def mad_agg_sharded(sf_dir: str):
-    """mad_agg through the doc-range fan-out: per-shard partials are the
+mad_agg_sharded = _sharded(mad_agg, """
+    mad_agg through the doc-range fan-out: per-shard partials are the
     exact (dl, count) value histograms (the percentiles partial), summed
     then reduced by the shared discrete-quantile kernel — zero
     approximation, unlike ES's merged t-digests.  Same oracle as
-    mad_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="mad")
+    mad_agg.""")
 
 
-def composite_agg_sharded(sf_dir: str):
-    """composite_agg through the doc-range fan-out: a global-page bucket
+composite_agg_sharded = _sharded(composite_agg, """
+    composite_agg through the doc-range fan-out: a global-page bucket
     survives every shard-local cut, so all its partial counts reach the
     merge — sum per (lang, bucket), re-sort, re-filter, re-cut.  Same
-    oracle as composite_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="composite",
-        engine_kwargs={"comp_width": COMP_WIDTH, "comp_size": COMP_SIZE,
-                       "comp_after": COMP_AFTER})
+    oracle as composite_agg.""")
 
 
 # named (bucket, filter-query) specs for the filters agg — one never-
@@ -2667,31 +2431,25 @@ TT_PAIRS: list[tuple[int, str, str]] = [
 SCROLL_PAGES = 3
 
 
-def boxplot_agg(sf_dir: str):
+def boxplot_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Boxplot aggregation over the FULL hit set (Elasticsearch
     ``boxplot`` agg on a numeric doc-value — EXACT, not TDigest: the
     quartiles are discrete quantiles over the bounded doc_len value
     histogram, so sharded merges recompute identical values from summed
     histograms).  Value-identical to sql.boxplot_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="boxplot")
+    return _serve(idx, _queries_table(), "boxplot", ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def boxplot_agg_sharded(sf_dir: str):
-    """boxplot_agg through the doc-range fan-out: per-shard partials are
+boxplot_agg_sharded = _sharded(boxplot_agg, """
+    boxplot_agg through the doc-range fan-out: per-shard partials are
     the exact (dl, count) value histograms (the percentiles partial),
     summed then reduced by the shared discrete-quantile kernel.  Same
-    oracle as boxplot_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="boxplot")
+    oracle as boxplot_agg.""")
 
 
-def filters_agg(sf_dir: str):
+def filters_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Filters aggregation (Elasticsearch ``filters`` agg): per
     DOC_QUERIES entry and named FILTER_BUCKETS spec, the count of live
     main-query hits whose doc also matches the bucket's filter query
@@ -2699,25 +2457,18 @@ def filters_agg(sf_dir: str):
     Zero-count buckets are omitted.  Value-identical to
     sql.filters_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="filters",
-                       engine_kwargs={"filter_buckets": FILTER_BUCKETS})
+    return _serve(idx, _queries_table(), "filters",
+                  filter_buckets=FILTER_BUCKETS, ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def filters_agg_sharded(sf_dir: str):
-    """filters_agg through the doc-range fan-out: both presence sets are
+filters_agg_sharded = _sharded(filters_agg, """
+    filters_agg through the doc-range fan-out: both presence sets are
     complete per ordinal range and every doc lives in exactly one range,
-    so per-(query, bucket) counts ADD.  Same oracle as filters_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="filters",
-        engine_kwargs={"filter_buckets": FILTER_BUCKETS})
+    so per-(query, bucket) counts ADD.  Same oracle as filters_agg.""")
 
 
-def weighted_avg_agg(sf_dir: str):
+def weighted_avg_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Weighted-average aggregation (Elasticsearch ``weighted_avg``,
     value = doc_len, weight = the doc's tf of the query's first analyzed
     token): per DOC_QUERIES entry, den = Σ tf and num = Σ doc_len·tf
@@ -2725,25 +2476,19 @@ def weighted_avg_agg(sf_dir: str):
     end.  Queries with zero weight mass emit no row (the SQL HAVING
     twin).  Value-identical to sql.weighted_avg_agg_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx, concurrency=2,
-                       query_kind="weighted_avg")
+    return _serve(idx, _queries_table(), "weighted_avg", ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def weighted_avg_agg_sharded(sf_dir: str):
-    """weighted_avg_agg through the doc-range fan-out: per-shard integer
+weighted_avg_agg_sharded = _sharded(weighted_avg_agg, """
+    weighted_avg_agg through the doc-range fan-out: per-shard integer
     partials (weighted_avg_partial — no HAVING rule, so hit-bearing
     shards without weight mass still contribute n_hits) sum exactly; the
     merge re-applies the emission rule and the single division.  Same
-    oracle as weighted_avg_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="weighted_avg")
+    oracle as weighted_avg_agg.""")
 
 
-def t_test_agg(sf_dir: str):
+def t_test_agg(sf_dir: str, *, n_query_shards: int = 0):
     """Welch's t-test aggregation (Elasticsearch ``t_test`` agg,
     ``type: heteroscedastic``): per TT_PAIRS cell, the exact integer
     sufficient statistics (n, Σdl, Σdl²) of each term-filter population's
@@ -2751,29 +2496,15 @@ def t_test_agg(sf_dir: str):
     shared fixed-order welch_t_floats.  Pairs where either side has
     n < 2 emit no row.  Value-identical to sql.t_test_agg_sql."""
     idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([p for p, _, _ in TT_PAIRS], type=pa.int64()),
-        "query": pa.array([f"{a}|||{b}" for _, a, b in TT_PAIRS]),
-    })
-    return run_queries(rd.from_arrow(tbl), idx, concurrency=2,
-                       query_kind="t_test")
+    tbl = _text_table([(p, f"{a}|||{b}") for p, a, b in TT_PAIRS])
+    return _serve(idx, tbl, "t_test", ints=(), n_query_shards=n_query_shards)
 
 
-def t_test_agg_sharded(sf_dir: str):
-    """t_test_agg through the doc-range fan-out: per-shard integer
+t_test_agg_sharded = _sharded(t_test_agg, """
+    t_test_agg through the doc-range fan-out: per-shard integer
     sufficient statistics (t_test_partial — no n >= 2 skip rule, a side
     can reach 2 only globally) ADD; the merge re-derives the floats via
-    the shared kernel.  Same oracle as t_test_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([p for p, _, _ in TT_PAIRS], type=pa.int64()),
-        "query": pa.array([f"{a}|||{b}" for _, a, b in TT_PAIRS]),
-    })
-    return run_queries_sharded(
-        rd.from_arrow(tbl), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="t_test")
+    the shared kernel.  Same oracle as t_test_agg.""")
 
 
 def scroll_topk(sf_dir: str, top_k: int = TOP_K, pages: int = SCROLL_PAGES):
@@ -2784,11 +2515,8 @@ def scroll_topk(sf_dir: str, top_k: int = TOP_K, pages: int = SCROLL_PAGES):
     scroll amortizes the posting traversal across pages).  Rank-identical
     to sql.scroll_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="scroll",
-                      engine_kwargs={"scroll_pages": pages})
-    return res.map_batches(lambda t: _i64(t, ["page", "rank"]),
-                           batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "scroll", k=top_k, scroll_pages=pages,
+                  ints=("page", "rank"))
 
 
 # phrase-suggester queries: 1-edit misspellings over the corpus vocab
@@ -2806,7 +2534,7 @@ PS_CAND_N = 5
 PS_N = 5
 
 
-def phrase_suggest(sf_dir: str):
+def phrase_suggest(sf_dir: str, *, n_query_shards: int = 0):
     """Phrase suggester (Elasticsearch ``phrase`` suggester with exact
     ``collate`` pruning): per PHRASE_SUGGEST_QUERIES entry, each token
     generates dictionary candidates within PS_MAX_EDITS (d=0 kept),
@@ -2815,38 +2543,18 @@ def phrase_suggest(sf_dir: str):
     ranked (n_docs DESC, phrase ASC), cut to PS_N.  Value-identical to
     sql.phrase_suggest_sql."""
     idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in PHRASE_SUGGEST_QUERIES],
-                             type=pa.int64()),
-        "query": pa.array([s for _, s in PHRASE_SUGGEST_QUERIES]),
-    })
-    return run_queries(rd.from_arrow(tbl), idx, concurrency=2,
-                       query_kind="phrase_suggest",
-                       engine_kwargs={"suggest_max_edits": PS_MAX_EDITS,
-                                      "phrase_cand_n": PS_CAND_N,
-                                      "suggest_n": PS_N})
+    tbl = _text_table(PHRASE_SUGGEST_QUERIES)
+    return _serve(idx, tbl, "phrase_suggest", suggest_max_edits=PS_MAX_EDITS,
+                  phrase_cand_n=PS_CAND_N, suggest_n=PS_N, ints=(),
+                  n_query_shards=n_query_shards)
 
 
-def phrase_suggest_sharded(sf_dir: str):
-    """phrase_suggest through the doc-range fan-out: candidate
+phrase_suggest_sharded = _sharded(phrase_suggest, """
+    phrase_suggest through the doc-range fan-out: candidate
     generation scans the global dictionary identically in every shard,
     presence sets are complete per ordinal range, so per-shard
     co-occurrence counts ADD; the merge re-ranks the summed counts.
-    Same oracle as phrase_suggest."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in PHRASE_SUGGEST_QUERIES],
-                             type=pa.int64()),
-        "query": pa.array([s for _, s in PHRASE_SUGGEST_QUERIES]),
-    })
-    return run_queries_sharded(
-        rd.from_arrow(tbl), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="phrase_suggest",
-        engine_kwargs={"suggest_max_edits": PS_MAX_EDITS,
-                       "phrase_cand_n": PS_CAND_N,
-                       "suggest_n": PS_N})
+    Same oracle as phrase_suggest.""")
 
 
 # multi_match queries: content-only, source-only, mixed, and no-match
@@ -2909,15 +2617,8 @@ def multi_match_topk(sf_dir: str, top_k: int = TOP_K):
     sql.multi_match_topk_sql."""
     idx = _contract_index(sf_dir)
     idx2 = _contract_index_src(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in MM_QUERIES], type=pa.int64()),
-        "query": pa.array([s for _, s in MM_QUERIES]),
-    })
-    res = run_queries(rd.from_arrow(tbl), idx, k=top_k, concurrency=2,
-                      query_kind="multi_match",
-                      engine_kwargs={"aux_index_dir": idx2})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    tbl = _text_table(MM_QUERIES)
+    return _serve(idx, tbl, "multi_match", k=top_k, aux_index_dir=idx2)
 
 
 class _TfidfKeywords:
@@ -3016,7 +2717,8 @@ def tfidf_keywords(sf_dir: str, n: int = 5, concurrency: int = 2):
 DF_ORIGIN = 60
 
 
-def distance_feature_topk(sf_dir: str, top_k: int = TOP_K):
+def distance_feature_topk(sf_dir: str, top_k: int = TOP_K, *,
+                          n_query_shards: int = 0):
     """Distance-feature query (Elasticsearch ``distance_feature`` /
     Lucene newDistanceFeatureQuery): per DOC_QUERIES entry, hits rank by
     closeness of the doc_len doc-value to DF_ORIGIN — integer distance
@@ -3024,26 +2726,14 @@ def distance_feature_topk(sf_dir: str, top_k: int = TOP_K):
     monotone in dist, so ranks are identical with no float in the
     oracle).  Rank-identical to sql.distance_feature_topk_sql."""
     idx = _contract_index(sf_dir)
-    res = run_queries(rd.from_arrow(_queries_table()), idx, k=top_k,
-                      concurrency=2, query_kind="distance_feature",
-                      engine_kwargs={"df_origin": DF_ORIGIN})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "distance_feature", k=top_k,
+                  df_origin=DF_ORIGIN, n_query_shards=n_query_shards)
 
 
-def distance_feature_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """distance_feature_topk through the doc-range fan-out: selection by
+distance_feature_topk_sharded = _sharded(distance_feature_topk, """
+    distance_feature_topk through the doc-range fan-out: selection by
     a per-doc key, so per-shard pages re-cut exactly under (dist ASC,
-    doc_id ASC).  Same oracle as distance_feature_topk."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="distance_feature",
-        engine_kwargs={"df_origin": DF_ORIGIN})
-    return res.map_batches(lambda t: _i64(t, ["rank"]),
-                           batch_format="pyarrow")
+    doc_id ASC).  Same oracle as distance_feature_topk.""")
 
 
 # _analyze API inputs: identifier splitting, case folding, punctuation
@@ -3088,36 +2778,20 @@ def analyze_api(sf_dir: str):
             "token": flat,
         })
 
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in ANALYZE_TEXTS], type=pa.int64()),
-        "query": pa.array([s for _, s in ANALYZE_TEXTS]),
-    })
+    tbl = _text_table(ANALYZE_TEXTS)
     return rd.from_arrow(tbl).map_batches(_b, batch_format="pyarrow")
 
 
-def collapse_topk_sharded(sf_dir: str, top_k: int = TOP_K):
-    """collapse_topk through the doc-range query fan-out
+collapse_topk_sharded = _sharded(collapse_topk, """
+    collapse_topk through the doc-range query fan-out
     (run_queries_sharded, 3 ordinal ranges): per-shard collapse pages
     merged by the lang-aware exact merge — same oracle as collapse_topk,
-    proving the scale path end-to-end under the driver gate."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    res = run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, k=top_k, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="collapse")
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    proving the scale path end-to-end under the driver gate.""")
 
 
-def lang_terms_agg_sharded(sf_dir: str):
-    """lang_terms_agg through the doc-range fan-out (counts sum, best
-    scores max across ranges) — same oracle as lang_terms_agg."""
-    from .query import run_queries_sharded
-
-    idx = _contract_index(sf_dir)
-    return run_queries_sharded(
-        rd.from_arrow(_queries_table()), idx, n_query_shards=3,
-        concurrency_per_shard=1, query_kind="lang_agg")
+lang_terms_agg_sharded = _sharded(lang_terms_agg, """
+    lang_terms_agg through the doc-range fan-out (counts sum, best
+    scores max across ranges) — same oracle as lang_terms_agg.""")
 
 
 def total_hits(sf_dir: str):
@@ -3127,8 +2801,7 @@ def total_hits(sf_dir: str):
     row per query, zero-hit queries included.  Value-identical to
     sql.total_hits_sql."""
     idx = _contract_index(sf_dir)
-    return run_queries(rd.from_arrow(_queries_table()), idx,
-                       concurrency=2, query_kind="count")
+    return _serve(idx, _queries_table(), "count", ints=())
 
 
 def rrf_hybrid(sf_dir: str):
@@ -3198,11 +2871,7 @@ def bm25_topk_merged(sf_dir: str):
         if os.path.isdir(merged):
             shutil.rmtree(merged)
         merge_index_dirs(gens, merged)
-    res = run_queries(
-        rd.from_arrow(_queries_table()), merged, k=TOP_K, scorer="taat",
-        concurrency=2,
-    )
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(merged, _queries_table(), "text")
 
 
 # Shared delete predicate (Ray + SQL both render from these): docs whose RAW
@@ -3257,11 +2926,7 @@ def bm25_topk_deleted(sf_dir: str):
     deleted docs excluded from every scorer before top-k — oracle
     sql.bm25_topk_deleted_sql (full-corpus stats, ranked over live docs)."""
     idx = _deleted_index(sf_dir)
-    res = run_queries(
-        rd.from_arrow(_queries_table()), idx, k=TOP_K, scorer="taat",
-        concurrency=2,
-    )
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(idx, _queries_table(), "text")
 
 
 def bm25_topk_compacted(sf_dir: str):
@@ -3287,11 +2952,7 @@ def bm25_topk_compacted(sf_dir: str):
         if os.path.isdir(cdir):
             shutil.rmtree(cdir)
         compact_index(idx, cdir)
-    res = run_queries(
-        rd.from_arrow(_queries_table()), cdir, k=TOP_K, scorer="taat",
-        concurrency=2,
-    )
-    return res.map_batches(lambda t: _i64(t, ["rank"]), batch_format="pyarrow")
+    return _serve(cdir, _queries_table(), "text")
 
 
 def scorer_eval(sf_dir: str) -> pa.Table:

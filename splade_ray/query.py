@@ -13,12 +13,10 @@ State (dictionary, mmapped postings, corpus stats) loads ONCE per actor in
 scoring.  Corpus stats come from the build manifest — never refit at query
 time (the reference's per-process refit is a documented wart, SURVEY §2.1 S7).
 
-Three scorers, parity-tested against each other and the oracle:
+Two scorers, parity-tested against each other and the oracle:
 
   * ``taat``  — vectorized term-at-a-time (numpy gather + segment-sort +
                 unique/add.at).  Fastest in-Python path; bench default.
-  * ``daat``  — naive document-at-a-time heap merge (reference semantics
-                check; test-only).
   * ``bmw``   — block-max WAND: document-at-a-time pivoting over per-block
                 max-score bounds (codecs.PostingMeta.block_max_tfsat), the
                 scale path for huge posting lists.
@@ -32,11 +30,16 @@ the rank-identity requirement of the north rule).
 from __future__ import annotations
 
 import hashlib
-import heapq
+import inspect
+import itertools
 import json
 import math
 import os
 import re
+from collections.abc import Callable
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Any
 
 import numpy as np
 import pyarrow as pa
@@ -343,25 +346,9 @@ class QueryEngine:
         self.lang_tagged = self.manifest["lang_tagged"]
         self.k = k
         self.scorer = scorer
-        if query_kind not in ("text", "prefix", "fuzzy", "fuzzy2",
-                              "wildcard", "bool", "filtered", "collapse",
-                              "lang_agg", "count", "search_after", "explain",
-                              "synonym", "regexp", "rescore", "dl_hist",
-                              "stats", "range", "dis_max", "boosting",
-                              "top_hits", "sort", "function_score",
-                              "rescore_partial", "cardinality",
-                              "cardinality_partial", "percentiles",
-                              "percentiles_partial", "mget",
-                              "query_string", "lang_stats", "ext_stats",
-                              "random_score", "adjacency", "pinned",
-                              "term_suggest", "constant_score",
-                              "rank_feature", "mad", "composite",
-                              "rank_eval", "boxplot", "filters",
-                              "weighted_avg", "weighted_avg_partial",
-                              "t_test", "t_test_partial", "scroll",
-                              "phrase_suggest", "phrase_suggest_partial",
-                              "multi_match", "distance_feature"):
-            raise ValueError(f"unknown query_kind {query_kind!r}")
+        if query_kind not in KINDS:
+            raise ValueError(f"unknown query_kind {query_kind!r}; known: "
+                             f"{', '.join(sorted(KINDS))}")
         self.query_kind = query_kind  # how __call__ reads the query column
         # query-time synonym map (term -> group, self NOT implied — pass
         # the full group); empty map = search_synonym degrades to BM25
@@ -674,13 +661,8 @@ class QueryEngine:
         toks = tokens_py(prefix)
         if not toks:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        qterms = {t: 1 for t in
-                  self.expand_prefix(toks[0], lang, max_expansion)}
-        ids, units = self._score(qterms)
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._bag_page(self.expand_prefix(toks[0], lang,
+                                                 max_expansion))
 
     # ------------------------------------------------------------ wildcard --
     def expand_wildcard(self, pattern: str, lang: str | None = None,
@@ -744,13 +726,8 @@ class QueryEngine:
         the semantics sql.wildcard_topk_sql replays with LIKE."""
         if not pattern.strip():
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        qterms = {t: 1 for t in
-                  self.expand_wildcard(pattern, lang, max_expansion)}
-        ids, units = self._score(qterms)
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._bag_page(self.expand_wildcard(pattern, lang,
+                                                   max_expansion))
 
     # --------------------------------------------------------------- fuzzy --
     def expand_fuzzy(self, token: str, lang: str | None = None) -> list[str]:
@@ -799,12 +776,7 @@ class QueryEngine:
         toks = tokens_py(query)
         if not toks:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        qterms = {t: 1 for t in self.expand_fuzzy(toks[0], lang)}
-        ids, units = self._score(qterms)
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._bag_page(self.expand_fuzzy(toks[0], lang))
 
     # ------------------------------------------------------ fuzzy, edits=2 --
     def expand_fuzzy_automaton(self, token: str, lang: str | None = None,
@@ -868,13 +840,8 @@ class QueryEngine:
         toks = tokens_py(query)
         if not toks:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        qterms = {t: 1 for t in self.expand_fuzzy_automaton(
-            toks[0], lang, 2, max_expansion)}
-        ids, units = self._score(qterms)
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._bag_page(self.expand_fuzzy_automaton(
+            toks[0], lang, 2, max_expansion))
 
     # ------------------------------------------------------------- boolean --
     def _variants(self, tok: str, lang: str | None) -> list[str]:
@@ -980,10 +947,7 @@ class QueryEngine:
         if len(banned) and len(ids):
             dead, _ = sorted_member(banned, ids)
             ids, units = ids[~dead], units[~dead]
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._page(ids, units)
 
     def _sparse_sums(self, qterms: dict[str, int]) -> tuple[np.ndarray,
                                                             np.ndarray]:
@@ -1008,6 +972,15 @@ class QueryEngine:
             minlength=len(uniq)).astype(np.int64)
         return self._mask_dead(uniq, scores)
 
+    def _hits(self, query: str,
+              lang: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """(ordinals, units) of the live docs matching ``query``: complete
+        sums (_sparse_sums) cut to positive quantized scores — the
+        presence rule every hit-set kind shares."""
+        ords, units = self._sparse_sums(self._query_terms(query, lang))
+        keep = units > 0
+        return ords[keep], units[keep]
+
     # ------------------------------------------------------ filtered search --
     def search_filtered(self, query: str, dl_lo: int, dl_hi: int,
                         lang: str | None = None):
@@ -1027,10 +1000,7 @@ class QueryEngine:
             dls = self.docs.gather_lens(ids)
             keep = (dls >= dl_lo) & (dls < dl_hi)
             ids, units = ids[keep], units[keep]
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._page(ids, units)
 
     # ------------------------------------------------- doc-values queries --
     def _lang_of_codes(self, codes: np.ndarray) -> list[str]:
@@ -1045,10 +1015,7 @@ class QueryEngine:
         doc-values sidecar resident in the actor (docmap.gather_langcodes)
         — one fancy-index gather, no postings re-read, no staging fetch,
         O(|matching docs|) per query at any corpus size."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        keep = units > 0
-        ords, units = ords[keep], units[keep]
+        ords, units = self._hits(query, lang)
         if not len(ords):
             e = np.empty(0, dtype=np.int64)
             return e, e, []
@@ -1069,9 +1036,7 @@ class QueryEngine:
         the page orders by the doc_len doc-value — descending by default —
         with doc_id ascending tiebreak, cut to k.  One forward-array
         gather + one lexsort over the hit set; no relevance scoring."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         e = np.empty(0, dtype=np.int64)
         if not len(ords):
             return e, e
@@ -1087,10 +1052,7 @@ class QueryEngine:
         bucket (every bucket returned — buckets are bounded by the lang
         vocabulary, not the corpus).  Same resident-sidecar economics as
         search_collapse: one gather, no postings re-read."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        keep = units > 0
-        ords, units = ords[keep], units[keep]
+        ords, units = self._hits(query, lang)
         e = np.empty(0, dtype=np.int64)
         if not len(ords):
             return e, e, [], e
@@ -1113,21 +1075,15 @@ class QueryEngine:
         lang doc-value bucket, the live matching-doc count and the best
         BM25 score.  Millions of hits never leave the actor — one
         bincount + per-bucket max over resident doc-values."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        keep = units > 0
-        ords, units = ords[keep], units[keep]
+        ords, units = self._hits(query, lang)
         if not len(ords):
             return [], np.empty(0, np.int64), np.empty(0, np.int64)
         codes = self.docs.gather_langcodes(ords)
         counts = np.bincount(codes, minlength=256)
-        out_lang, out_n, out_best = [], [], []
-        for c in np.nonzero(counts)[0]:
-            out_lang.append(self.langs[c] if c < len(self.langs) else "")
-            out_n.append(int(counts[c]))
-            out_best.append(int(units[codes == c].max()))
-        return (out_lang, np.asarray(out_n, dtype=np.int64),
-                np.asarray(out_best, dtype=np.int64))
+        live = np.nonzero(counts)[0]
+        best = [int(units[codes == c].max()) for c in live]
+        return (self._lang_of_codes(live), counts[live].astype(np.int64),
+                np.asarray(best, dtype=np.int64))
 
     def search_dl_hist(self, query: str, lang: str | None = None):
         """Histogram aggregation over the FULL hit set (Elasticsearch
@@ -1135,9 +1091,7 @@ class QueryEngine:
         hist_width) * hist_width, per-bucket live matching-doc count —
         served from the resident ordinal->doc_len forward array, one
         gather + one bincount, hits never leave the actor."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         if not len(ords):
             return np.empty(0, np.int64), np.empty(0, np.int64)
         buckets = (self.docs.gather_lens(ords).astype(np.int64)
@@ -1149,17 +1103,11 @@ class QueryEngine:
         """Stats aggregation over the FULL hit set (Elasticsearch ``stats``
         agg on a numeric doc-value): (n_hits, min, max, sum) of doc_len
         across every live matching doc — one gather over the resident
-        forward array, four numpy reductions, hits never leave the actor.
-        Returns (0, 0, 0, 0) for a zero-hit query (the caller decides row
+        forward array, numpy reductions, hits never leave the actor (the
+        search_ext_stats pass without its sum of squares).  Returns
+        (0, 0, 0, 0) for a zero-hit query (the caller decides row
         emission); avg derives as sum/n at the output layer."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
-        if not len(ords):
-            return 0, 0, 0, 0
-        dls = self.docs.gather_lens(ords).astype(np.int64)
-        return (int(len(dls)), int(dls.min()), int(dls.max()),
-                int(dls.sum()))
+        return self.search_ext_stats(query, lang)[:4]
 
     def search_range(self, query: str, lang: str | None = None):
         """Range aggregation over the FULL hit set (Elasticsearch ``range``
@@ -1167,9 +1115,7 @@ class QueryEngine:
         bucket (``dl_ranges``), the live matching-doc count.  Served like
         search_dl_hist (one gather + vectorized compares); empty buckets
         are omitted, mirroring the GROUP BY oracle."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         out_b, out_n = [], []
         if len(ords) and self.dl_ranges:
             dls = self.docs.gather_lens(ords).astype(np.int64)
@@ -1188,9 +1134,7 @@ class QueryEngine:
         hit set, (n_hits, min, max, sum) of doc_len — two gathers over
         the resident forward arrays + per-bucket numpy reductions, hits
         never leave the actor.  Returns (langs, n, min, max, sum)."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         if not len(ords):
             return ([], np.empty(0, np.int64), np.empty(0, np.int64),
                     np.empty(0, np.int64), np.empty(0, np.int64))
@@ -1204,10 +1148,8 @@ class QueryEngine:
         np.minimum.at(mn, codes, dls)
         np.maximum.at(mx, codes, dls)
         live = np.nonzero(n)[0]
-        langs = [self.langs[c] if c < len(self.langs) else ""
-                 for c in live]
-        return (langs, n[live].astype(np.int64), mn[live], mx[live],
-                s[live])
+        return (self._lang_of_codes(live), n[live].astype(np.int64),
+                mn[live], mx[live], s[live])
 
     def search_cardinality(self, query: str, lang: str | None = None):
         """Cardinality aggregation (Elasticsearch ``cardinality`` agg on
@@ -1216,14 +1158,11 @@ class QueryEngine:
         domain is small; no HLL approximation needed).  Returns the
         distinct lang NAMES so the sharded partial can emit them (the
         union across ordinal ranges is the exact merge)."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         if not len(ords):
             return []
-        codes = np.unique(self.docs.gather_langcodes(ords))
-        return [self.langs[c] if c < len(self.langs) else ""
-                for c in codes]
+        return self._lang_of_codes(
+            np.unique(self.docs.gather_langcodes(ords)))
 
     def search_dl_value_counts(self, query: str, lang: str | None = None):
         """Exact doc_len value histogram over the FULL hit set — the
@@ -1231,9 +1170,7 @@ class QueryEngine:
         is bounded, so the partial stays tiny regardless of hit count and
         a shard merge recomputes EXACT percentiles from summed
         histograms (disc_percentiles)."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         if not len(ords):
             return np.empty(0, np.int64), np.empty(0, np.int64)
         dls = self.docs.gather_lens(ords).astype(np.int64)
@@ -1272,9 +1209,7 @@ class QueryEngine:
         sums (so shard merges recompute them losslessly by adding
         n/sum/sum_sq and re-deriving).  Returns (n, min, max, sum, sum_sq);
         (0, 0, 0, 0, 0) for a zero-hit query."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         if not len(ords):
             return 0, 0, 0, 0, 0
         dls = self.docs.gather_lens(ords).astype(np.int64)
@@ -1306,9 +1241,7 @@ class QueryEngine:
         per-doc key).  The per-hit sha here is the oracle-twin path; a
         production pool would swap the vectorized mixer hash exactly like
         ops/dedup's hash_mode."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         if not len(ords):
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.int64))
@@ -1330,9 +1263,7 @@ class QueryEngine:
         order is identical and no float crosses the oracle boundary).
         Selection by a per-doc key — per-shard pages re-cut exactly
         (the random_score merge rule).  Returns (doc_ids, dists)."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         if not len(ords):
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.int64))
@@ -1351,12 +1282,10 @@ class QueryEngine:
         lives in exactly one range — so per-shard cells ADD, making this
         an exactly distributed set-intersection size."""
         qa, _, qb = pair.partition("|||")
-        oa, ua = self._sparse_sums(self._query_terms(qa, lang))
-        oa = oa[ua > 0]
+        oa, _ = self._hits(qa, lang)
         if not len(oa):
             return 0
-        ob, ub = self._sparse_sums(self._query_terms(qb, lang))
-        ob = ob[ub > 0]
+        ob, _ = self._hits(qb, lang)
         if not len(ob):
             return 0
         return int(len(np.intersect1d(oa, ob, assume_unique=True)))
@@ -1408,65 +1337,47 @@ class QueryEngine:
         flags[: min(len(p_ids), len(ids))] = 1
         return ids, u, flags
 
+    def _bare_candidates(self, tok: str, lang: str | None,
+                         min_dist: int) -> list[tuple[str, int, int]]:
+        """Dictionary terms within [min_dist, suggest_max_edits] edits of
+        the analyzed token — candidates from the same automaton-dictionary
+        intersect FuzzyQuery uses (expand_fuzzy_automaton) — as (term,
+        dist, df) ranked (distance ASC, df DESC, term ASC).  df is the
+        frozen build-time document frequency summed across segments/salts
+        (_term_refs), postings never decoded; lang-tagged dictionaries
+        carry one variant per language, and a candidate is the BARE term,
+        its df summed across variants."""
+        by_bare: dict[str, list[int]] = {}
+        for term in self.expand_fuzzy_automaton(tok, lang,
+                                                self.suggest_max_edits):
+            bare = term.rpartition(LANG_SEP)[2] if (
+                self.lang_tagged and LANG_SEP in term) else term
+            d = lev_dist(bare, tok, cap=self.suggest_max_edits + 1)
+            if not (min_dist <= d <= self.suggest_max_edits):
+                continue
+            by_bare.setdefault(bare, [d, 0])[1] += self._term_refs(term)[1]
+        return sorted(((bare, d, df) for bare, (d, df) in by_bare.items()),
+                      key=lambda x: (x[1], -x[2], x[0]))
+
     def suggest_terms(self, token: str, lang: str | None = None):
         """Term suggester (Elasticsearch ``term`` suggester / Lucene
         DirectSpellChecker): dictionary terms within Levenshtein distance
-        [1, suggest_max_edits] of the analyzed token — candidates from the
-        same automaton-dictionary intersect FuzzyQuery uses
-        (expand_fuzzy_automaton) — ranked (distance ASC, df DESC, term
-        ASC), cut to suggest_n.  df is the frozen build-time document
-        frequency summed across segments/salts (_term_refs), postings
-        never decoded.  Returns [(term, dist, df)]."""
+        [1, suggest_max_edits] of the analyzed token (the token itself,
+        d=0, is not a correction), cut to suggest_n (_bare_candidates).
+        Returns [(term, dist, df)]."""
         toks = tokens_py(token)
         if not toks:
             return []
-        t = toks[0]
-        cand = self.expand_fuzzy_automaton(t, lang, self.suggest_max_edits)
-        # lang-tagged dictionaries carry one variant per language; a
-        # suggestion is the BARE term, its df summed across variants
-        by_bare: dict[str, list[int]] = {}
-        for term in cand:
-            bare = term.rpartition(LANG_SEP)[2] if (
-                self.lang_tagged and LANG_SEP in term) else term
-            d = lev_dist(bare, t, cap=self.suggest_max_edits + 1)
-            if not (1 <= d <= self.suggest_max_edits):
-                continue  # the token itself (d=0) is not a correction
-            df = self._term_refs(term)[1]
-            row = by_bare.get(bare)
-            if row is None:
-                by_bare[bare] = [d, df]
-            else:
-                row[1] += df
-        out = [(bare, d, df) for bare, (d, df) in by_bare.items()]
-        out.sort(key=lambda x: (x[1], -x[2], x[0]))
-        return out[: self.suggest_n]
+        return self._bare_candidates(toks[0], lang, 1)[: self.suggest_n]
 
     def _phrase_candidates(self, tok: str,
                            lang: str | None) -> list[str]:
         """Per-position candidate terms for suggest_phrase: dictionary
         terms within Levenshtein distance [0, suggest_max_edits] of the
         token — d=0 INCLUDED (the ES DirectCandidateGenerator keeps the
-        original term), ranked (distance ASC, df DESC, term ASC) and cut
-        to phrase_cand_n.  Bare terms on lang-tagged dictionaries, df
-        summed across language variants (the suggest_terms convention)."""
-        cand = self.expand_fuzzy_automaton(tok, lang,
-                                           self.suggest_max_edits)
-        by_bare: dict[str, list[int]] = {}
-        for term in cand:
-            bare = term.rpartition(LANG_SEP)[2] if (
-                self.lang_tagged and LANG_SEP in term) else term
-            d = lev_dist(bare, tok, cap=self.suggest_max_edits + 1)
-            if d > self.suggest_max_edits:
-                continue
-            df = self._term_refs(term)[1]
-            row = by_bare.get(bare)
-            if row is None:
-                by_bare[bare] = [d, df]
-            else:
-                row[1] += df
-        out = sorted(by_bare.items(),
-                     key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
-        return [bare for bare, _ in out[: self.phrase_cand_n]]
+        original term), cut to phrase_cand_n (_bare_candidates)."""
+        return [bare for bare, _, _ in
+                self._bare_candidates(tok, lang, 0)[: self.phrase_cand_n]]
 
     def suggest_phrase(self, text: str, lang: str | None = None,
                        cut: bool = True):
@@ -1543,9 +1454,7 @@ class QueryEngine:
         field; Lucene/ES field mappings are the class this completes."""
         sides = []
         for eng in (self, self.aux):
-            ords, units = eng._sparse_sums(eng._query_terms(query, lang))
-            keep = units > 0
-            ords, units = ords[keep], units[keep]
+            ords, units = eng._hits(query, lang)
             ids = (eng.docs.gather_ids(ords) if len(ords)
                    else np.empty(0, dtype=np.int64))
             sides.append((ids, units))
@@ -1566,9 +1475,7 @@ class QueryEngine:
         is the first k hits in doc_id order (ordinal order IS doc-id
         order).  No idf/tf math survives; the scorer's only job is the
         presence set."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         return self.docs.gather_ids(ords[: self.k]) if len(ords) else \
             np.empty(0, dtype=np.int64)
 
@@ -1579,9 +1486,7 @@ class QueryEngine:
         pivot) DESC, ties doc_id ASC, cut to k — floor division on both
         engine and oracle sides, so the quantization is bit-exact.
         Returns (doc_ids, keys)."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         e = np.empty(0, dtype=np.int64)
         if not len(ords):
             return e, e
@@ -1625,8 +1530,7 @@ class QueryEngine:
         ordinal range and every doc lives in exactly one range, so
         per-shard counts ADD.  Returns (names, counts); zero-count
         buckets are omitted (the GROUP-BY oracle shape)."""
-        ords, units = self._sparse_sums(self._query_terms(query, lang))
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         names: list[str] = []
         counts: list[int] = []
         if len(ords):
@@ -1637,8 +1541,7 @@ class QueryEngine:
                 key = (fq, lang)
                 ob = self._fbucket_memo.get(key)
                 if ob is None:
-                    ob, ub = self._sparse_sums(self._query_terms(fq, lang))
-                    ob = ob[ub > 0]
+                    ob, _ = self._hits(fq, lang)
                     self._fbucket_memo[key] = ob
                 n = (int(len(np.intersect1d(ords, ob, assume_unique=True)))
                      if len(ob) else 0)
@@ -1694,8 +1597,7 @@ class QueryEngine:
         qa, _, qb = pair.partition("|||")
         out: list[int] = []
         for q in (qa, qb):
-            ords, units = self._sparse_sums(self._query_terms(q, lang))
-            ords = ords[units > 0]
+            ords, _ = self._hits(q, lang)
             if len(ords):
                 dls = self.docs.gather_lens(ords).astype(np.int64)
                 out.extend((int(len(dls)), int(dls.sum()),
@@ -1715,9 +1617,7 @@ class QueryEngine:
         (_sparse_sums), NOT the top-k-pruned _score: the page window
         exceeds k, the rescore-window rule.  Returns (doc_ids, units) in
         global rank order, length ≤ scroll_pages·k."""
-        ids, units = self._sparse_sums(self._query_terms(query, lang))
-        pos = units > 0
-        ids, units = ids[pos], units[pos]
+        ids, units = self._hits(query, lang)
         if not len(ids):
             return ids, units
         n = self.scroll_pages * self.k
@@ -1737,9 +1637,7 @@ class QueryEngine:
         bounded by the doc-value domains (not the hit count), so pages
         merge exactly across shards by summing per-bucket counts before
         the after-filter + cut.  Returns (langs, buckets, counts)."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        ords = ords[units > 0]
+        ords, _ = self._hits(query, lang)
         e = np.empty(0, dtype=np.int64)
         if not len(ords):
             return [], e, e
@@ -1816,18 +1714,14 @@ class QueryEngine:
             return (np.empty(0, np.int64), np.empty(0, np.int64), [])
         ids_out = self.docs.gather_ids(ords)
         lens = self.docs.gather_lens(ords).astype(np.int64)
-        codes = self.docs.gather_langcodes(ords)
-        langs = [self.langs[c] if c < len(self.langs) else ""
-                 for c in codes]
-        return ids_out, lens, langs
+        return ids_out, lens, self._lang_of_codes(
+            self.docs.gather_langcodes(ords))
 
     def count_hits(self, query: str, lang: str | None = None) -> int:
         """Total live matching docs (ES ``track_total_hits``): the size of
         the tombstone-masked union of the query terms' posting lists with a
         positive quantized score."""
-        qterms = self._query_terms(query, lang)
-        _, units = self._sparse_sums(qterms)
-        return int((units > 0).sum())
+        return len(self._hits(query, lang)[0])
 
     # --------------------------------------------------- search-after page --
     def search_after(self, query: str, cursor_units: int, cursor_doc: int,
@@ -1840,19 +1734,13 @@ class QueryEngine:
         (ord_upper_bound) and no id gather happens before the cut.  Unlike
         from+size paging, cost never grows with page depth: one full-sums
         pass + one top-k, page 1 or page 10^6."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        keep = units > 0
-        ords, units = ords[keep], units[keep]
+        ords, units = self._hits(query, lang)
         if len(ords):
             ub = self.docs.ord_upper_bound(int(cursor_doc))
             after = (units < cursor_units) | (
                 (units == cursor_units) & (ords >= ub))
             ords, units = ords[after], units[after]
-        ords, units = self._topk(ords, units)
-        if len(ords):
-            ords = self.docs.gather_ids(ords)
-        return ords, units
+        return self._page(ords, units)
 
     # ---------------------------------------------------------- explain --
     def explain(self, query: str, doc_id: int, lang: str | None = None):
@@ -1908,10 +1796,7 @@ class QueryEngine:
             for v in variants:
                 exp[v] = exp.get(v, 0) + qtf
         ids, units = self._score(exp)
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._page(ids, units)
 
     # ------------------------------------------------------------- rescore --
     def search_rescore(self, query: str, lang: str | None = None):
@@ -1983,10 +1868,9 @@ class QueryEngine:
         bit-identical to sql.dis_max_topk_sql."""
         per = []
         for c in clauses:
-            o, u = self._sparse_sums(self._query_terms(c, lang))
-            keep = u > 0
-            if keep.any():
-                per.append((o[keep], u[keep]))
+            o, u = self._hits(c, lang)
+            if len(o):
+                per.append((o, u))
         if not per:
             e = np.empty(0, dtype=np.int64)
             return e, e
@@ -1999,10 +1883,7 @@ class QueryEngine:
         np.maximum.at(best, inv, cat_u)
         tn, td = self.dismax_tie
         comb = best + (tn * (total - best)) // td
-        ords, units = self._topk(uniq, comb)
-        if len(ords):
-            ords = self.docs.gather_ids(ords)
-        return ords, units
+        return self._page(uniq, comb)
 
     # ------------------------------------------------------------ boosting --
     def search_boosting(self, positive: str, negative: str,
@@ -2014,23 +1895,17 @@ class QueryEngine:
         sql.boosting_topk_sql."""
         from .docmap import sorted_member
 
-        pos_o, pos_u = self._sparse_sums(self._query_terms(positive, lang))
-        keep = pos_u > 0
-        pos_o, pos_u = pos_o[keep], pos_u[keep]
+        pos_o, pos_u = self._hits(positive, lang)
         if not len(pos_o):
             e = np.empty(0, dtype=np.int64)
             return e, e
-        neg_o, neg_u = self._sparse_sums(self._query_terms(negative, lang))
-        neg_set = neg_o[neg_u > 0]
+        neg_set, _ = self._hits(negative, lang)
         units = pos_u.copy()
         if len(neg_set):
             demote, _ = sorted_member(np.sort(neg_set), pos_o)
             bn, bd = self.negative_boost
             units[demote] = (bn * units[demote]) // bd
-        ords, units = self._topk(pos_o, units)
-        if len(ords):
-            ords = self.docs.gather_ids(ords)
-        return ords, units
+        return self._page(pos_o, units)
 
     # ------------------------------------------------------ function_score --
     def search_function_score(self, query: str, lang: str | None = None):
@@ -2043,16 +1918,10 @@ class QueryEngine:
         BEFORE the multiply so the cut sees final scores; the factor is
         one resident forward-array gather (docmap.gather_lens), no
         postings re-read."""
-        qterms = self._query_terms(query, lang)
-        ords, units = self._sparse_sums(qterms)
-        keep = units > 0
-        ords, units = ords[keep], units[keep]
+        ords, units = self._hits(query, lang)
         if len(ords):
             units = units * self.docs.gather_lens(ords).astype(np.int64)
-        ords, units = self._topk(ords, units)
-        if len(ords):
-            ords = self.docs.gather_ids(ords)
-        return ords, units
+        return self._page(ords, units)
 
     # -------------------------------------------------------------- regexp --
     _REGEXP_ALLOWED = r"[a-z0-9\*\+\?\.\[\]\(\)\|\-\^]+"
@@ -2134,13 +2003,8 @@ class QueryEngine:
         replays with regexp_full_match."""
         if not pattern.strip():
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        qterms = {t: 1 for t in
-                  self.expand_regexp(pattern, lang, max_expansion)}
-        ids, units = self._score(qterms)
-        ids, units = self._topk(ids, units)
-        if len(ids):
-            ids = self.docs.gather_ids(ids)
-        return ids, units
+        return self._bag_page(self.expand_regexp(pattern, lang,
+                                                 max_expansion))
 
     def _contrib_units(self, qtf: int, w_idf: float, tfs, dls) -> np.ndarray:
         sat = tf_saturation(np.asarray(tfs), np.asarray(dls), self.avgdl)
@@ -2218,35 +2082,6 @@ class QueryEngine:
         scores = np.bincount(inv, weights=units.astype(np.float64),
                              minlength=len(uniq))
         return self._mask_dead(uniq, scores.astype(np.int64))
-
-    def _score_daat(self, qterms: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Naive DAAT heap merge over decoded lists (parity reference)."""
-        cursors = []
-        for term, qtf in qterms.items():
-            refs, df = self._term_refs(term)
-            if not refs:
-                continue
-            ids, tfs, dls = self._gather(term)
-            units = self._contrib_units(qtf, idf(self.n_docs, df), tfs, dls)
-            cursors.append((ids, units))
-        if not cursors:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        heap = [(int(ids[0]), ci, 0) for ci, (ids, _) in enumerate(cursors)]
-        heapq.heapify(heap)
-        out_ids, out_scores = [], []
-        while heap:
-            doc = heap[0][0]
-            acc = 0
-            while heap and heap[0][0] == doc:
-                _, ci, pos = heapq.heappop(heap)
-                ids, units = cursors[ci]
-                acc += int(units[pos])
-                if pos + 1 < len(ids):
-                    heapq.heappush(heap, (int(ids[pos + 1]), ci, pos + 1))
-            out_ids.append(doc)
-            out_scores.append(acc)
-        return self._mask_dead(np.asarray(out_ids, dtype=np.int64),
-                               np.asarray(out_scores, dtype=np.int64))
 
     def _score_bmw(self, qterms: dict[str, int],
                    batch_segments: int = 64) -> tuple[np.ndarray, np.ndarray]:
@@ -2458,13 +2293,22 @@ class QueryEngine:
         order = np.lexsort((ids, -units))[: self.k]
         return ids[order], units[order]
 
+    def _page(self, ords: np.ndarray,
+              units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k cut (_topk) + ordinal -> real doc id: (doc_ids, units)."""
+        ords, units = self._topk(ords, units)
+        return (self.docs.gather_ids(ords) if len(ords) else ords), units
+
+    def _bag_page(self, terms) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k page of a dictionary rewrite: every expanded term scores
+        at qtf=1 (the uniform scoring-BooleanQuery rewrite)."""
+        return self._page(*self._score({t: 1 for t in terms}))
+
     def _score(self, qterms: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
         """Dispatch to the configured scorer (shared by text / prefix / bool
         entry points — all three reduce to a {term: qtf} bag)."""
         if self.scorer == "taat":
             return self._score_taat(qterms)
-        if self.scorer == "daat":
-            return self._score_daat(qterms)
         if self.scorer == "bmw":
             return self._score_bmw(qterms)
         raise ValueError(f"unknown scorer {self.scorer!r}")
@@ -2478,691 +2322,16 @@ class QueryEngine:
         return ids, units
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["query_id"].to_pylist()
-        langs = (
-            batch["lang"].to_pylist()
-            if "lang" in batch.schema.names
-            else [None] * len(qids)
-        )
-        if self.query_kind == "collapse":
-            out_qid, out_rank, out_doc, out_score, out_lang = [], [], [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, units, lgs = self.search_collapse(q or "", lg or None)
-                for r, (d, u, lv) in enumerate(zip(ids, units, lgs), start=1):
-                    out_qid.append(qid)
-                    out_rank.append(r)
-                    out_doc.append(int(d))
-                    out_score.append(u / SCORE_SCALE)
-                    out_lang.append(lv)
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "score": pa.array(out_score, type=pa.float64()),
-                "lang": pa.array(out_lang, type=pa.string()),
-            })
-        if self.query_kind == "rescore_partial":
-            # sharded rescore's per-range leg: the range-local phase-1
-            # window with bm25 AND coord units (both exact per doc at any
-            # partitioning); the merge re-cuts the global window and
-            # combines (run_queries_sharded._merge_rescore)
-            out = {"query_id": [], "doc_id": [], "bm25_units": [],
-                   "coord_units": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ords, units, coord = self._rescore_window_units(
-                    q or "", lg or None)
-                if not len(ords):
-                    continue
-                ids = self.docs.gather_ids(ords)
-                out["query_id"].extend([qid] * len(ids))
-                out["doc_id"].extend(int(d) for d in ids)
-                out["bm25_units"].extend(int(u) for u in units)
-                out["coord_units"].extend(int(c) for c in coord)
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-                "bm25_units": pa.array(out["bm25_units"], type=pa.int64()),
-                "coord_units": pa.array(out["coord_units"],
-                                        type=pa.int64()),
-            })
-        if self.query_kind == "sort":
-            out_qid, out_rank, out_doc, out_dl = [], [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, dls = self.search_sort(q or "", lg or None,
-                                            ascending=self.sort_ascending)
-                for r, (d, dl) in enumerate(zip(ids, dls), start=1):
-                    out_qid.append(qid)
-                    out_rank.append(r)
-                    out_doc.append(int(d))
-                    out_dl.append(int(dl))
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "doc_len": pa.array(out_dl, type=pa.int64()),
-            })
-        if self.query_kind == "top_hits":
-            out = {"query_id": [], "lang": [], "grank": [], "doc_id": [],
-                   "score": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, units, lgs, granks = self.search_top_hits(
-                    q or "", lg or None)
-                for d, u, lv, gr in zip(ids, units, lgs, granks):
-                    out["query_id"].append(qid)
-                    out["lang"].append(lv)
-                    out["grank"].append(int(gr))
-                    out["doc_id"].append(int(d))
-                    out["score"].append(u / SCORE_SCALE)
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "lang": pa.array(out["lang"], type=pa.string()),
-                "grank": pa.array(out["grank"], type=pa.int32()),
-                "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-                "score": pa.array(out["score"], type=pa.float64()),
-            })
-        if self.query_kind == "lang_agg":
-            out_qid, out_lang, out_n, out_best = [], [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                lgs, ns, bests = self.search_lang_agg(q or "", lg or None)
-                for lv, n, b in zip(lgs, ns, bests):
-                    out_qid.append(qid)
-                    out_lang.append(lv)
-                    out_n.append(int(n))
-                    out_best.append(int(b) / SCORE_SCALE)
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "lang": pa.array(out_lang, type=pa.string()),
-                "n_hits": pa.array(out_n, type=pa.int64()),
-                "best_score": pa.array(out_best, type=pa.float64()),
-            })
-        if self.query_kind == "dl_hist":
-            out_qid, out_b, out_n = [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                vals, counts = self.search_dl_hist(q or "", lg or None)
-                for b, n in zip(vals, counts):
-                    out_qid.append(qid)
-                    out_b.append(int(b))
-                    out_n.append(int(n))
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "bucket": pa.array(out_b, type=pa.int64()),
-                "n_hits": pa.array(out_n, type=pa.int64()),
-            })
-        if self.query_kind == "stats":
-            # one row per query WITH hits (zero-hit queries emit nothing,
-            # mirroring the GROUP-BY oracle); avg derives from the exact
-            # integer sum so shard merges can recompute it losslessly
-            out = {"query_id": [], "n_hits": [], "min_dl": [], "max_dl": [],
-                   "sum_dl": [], "avg_dl": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                n, lo, hi, s = self.search_stats(q or "", lg or None)
-                if not n:
-                    continue
-                out["query_id"].append(qid)
-                out["n_hits"].append(n)
-                out["min_dl"].append(lo)
-                out["max_dl"].append(hi)
-                out["sum_dl"].append(s)
-                out["avg_dl"].append(s / n)
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "n_hits": pa.array(out["n_hits"], type=pa.int64()),
-                "min_dl": pa.array(out["min_dl"], type=pa.int64()),
-                "max_dl": pa.array(out["max_dl"], type=pa.int64()),
-                "sum_dl": pa.array(out["sum_dl"], type=pa.int64()),
-                "avg_dl": pa.array(out["avg_dl"], type=pa.float64()),
-            })
-        if self.query_kind == "range":
-            out_qid, out_b, out_n = [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                buckets, counts = self.search_range(q or "", lg or None)
-                for b, n in zip(buckets, counts):
-                    out_qid.append(qid)
-                    out_b.append(int(b))
-                    out_n.append(int(n))
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "bucket": pa.array(out_b, type=pa.int64()),
-                "n_hits": pa.array(out_n, type=pa.int64()),
-            })
-        if self.query_kind in ("cardinality", "cardinality_partial"):
-            # one row per query WITH hits ("cardinality"), or the distinct
-            # (query_id, lang) pairs themselves ("cardinality_partial" —
-            # the sharded fan-out's exact-union partial)
-            partial = self.query_kind == "cardinality_partial"
-            out_qid, out_v = [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                lvs = self.search_cardinality(q or "", lg or None)
-                if not lvs:
-                    continue
-                if partial:
-                    out_qid.extend([qid] * len(lvs))
-                    out_v.extend(lvs)
-                else:
-                    out_qid.append(qid)
-                    out_v.append(len(lvs))
-            if partial:
-                return pa.table({
-                    "query_id": pa.array(out_qid, type=pa.int64()),
-                    "lang": pa.array(out_v, type=pa.string()),
-                })
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "cardinality": pa.array(out_v, type=pa.int64()),
-            })
-        if self.query_kind == "percentiles":
-            # one wide row per query WITH hits: n_hits + one p{q} column
-            # per configured quantile (DuckDB quantile_disc semantics via
-            # disc_percentiles)
-            names = [f"p{int(round(q * 100))}" for q in self.percentile_qs]
-            out: dict[str, list] = {"query_id": [], "n_hits": []}
-            for nm in names:
-                out[nm] = []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                vals, counts = self.search_dl_value_counts(q or "",
-                                                           lg or None)
-                if not len(vals):
-                    continue
-                n, ps = disc_percentiles(vals, counts, self.percentile_qs)
-                out["query_id"].append(qid)
-                out["n_hits"].append(n)
-                for nm, v in zip(names, ps):
-                    out[nm].append(v)
-            return pa.table({c: pa.array(v, type=pa.int64())
-                             for c, v in out.items()})
-        if self.query_kind == "percentiles_partial":
-            # (query_id, dl, n) value-histogram rows — tiny (bounded by
-            # the doc_len domain), summed then reduced by the shard merge
-            out_qid, out_dl, out_n = [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                vals, counts = self.search_dl_value_counts(q or "",
-                                                           lg or None)
-                out_qid.extend([qid] * len(vals))
-                out_dl.extend(int(v) for v in vals)
-                out_n.extend(int(c) for c in counts)
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "dl": pa.array(out_dl, type=pa.int64()),
-                "n": pa.array(out_n, type=pa.int64()),
-            })
-        if self.query_kind == "lang_stats":
-            # per (query, lang) bucket row over the FULL hit set; avg
-            # derives from the exact integer sum (shard merges recompute)
-            out: dict[str, list] = {k: [] for k in
-                                    ("query_id", "lang", "n_hits", "min_dl",
-                                     "max_dl", "sum_dl", "avg_dl")}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                lvs, n, mn, mx, s = self.search_lang_stats(q or "",
-                                                           lg or None)
-                for i, lv in enumerate(lvs):
-                    out["query_id"].append(qid)
-                    out["lang"].append(lv)
-                    out["n_hits"].append(int(n[i]))
-                    out["min_dl"].append(int(mn[i]))
-                    out["max_dl"].append(int(mx[i]))
-                    out["sum_dl"].append(int(s[i]))
-                    out["avg_dl"].append(int(s[i]) / int(n[i]))
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "lang": pa.array(out["lang"], type=pa.string()),
-                "n_hits": pa.array(out["n_hits"], type=pa.int64()),
-                "min_dl": pa.array(out["min_dl"], type=pa.int64()),
-                "max_dl": pa.array(out["max_dl"], type=pa.int64()),
-                "sum_dl": pa.array(out["sum_dl"], type=pa.int64()),
-                "avg_dl": pa.array(out["avg_dl"], type=pa.float64()),
-            })
-        if self.query_kind == "ext_stats":
-            # one row per query WITH hits; floats derive from the exact
-            # integer sums via ext_stats_floats (shard merges add
-            # n/sum/sum_sq and re-derive losslessly)
-            out: dict[str, list] = {k: [] for k in
-                                    ("query_id", "n_hits", "min_dl",
-                                     "max_dl", "sum_dl", "sum_sq",
-                                     "avg_dl", "variance", "std_dev")}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                n, lo, hi, s, ss = self.search_ext_stats(q or "", lg or None)
-                if not n:
-                    continue
-                avg, var, std = self.ext_stats_floats(n, s, ss)
-                out["query_id"].append(qid)
-                out["n_hits"].append(n)
-                out["min_dl"].append(lo)
-                out["max_dl"].append(hi)
-                out["sum_dl"].append(s)
-                out["sum_sq"].append(ss)
-                out["avg_dl"].append(avg)
-                out["variance"].append(var)
-                out["std_dev"].append(std)
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "n_hits": pa.array(out["n_hits"], type=pa.int64()),
-                "min_dl": pa.array(out["min_dl"], type=pa.int64()),
-                "max_dl": pa.array(out["max_dl"], type=pa.int64()),
-                "sum_dl": pa.array(out["sum_dl"], type=pa.int64()),
-                "sum_sq": pa.array(out["sum_sq"], type=pa.int64()),
-                "avg_dl": pa.array(out["avg_dl"], type=pa.float64()),
-                "variance": pa.array(out["variance"], type=pa.float64()),
-                "std_dev": pa.array(out["std_dev"], type=pa.float64()),
-            })
-        if self.query_kind == "random_score":
-            out_qid, out_rank, out_doc, out_rs = [], [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, hs = self.search_random_score(q or "", lg or None)
-                for r, (d, h) in enumerate(zip(ids, hs), start=1):
-                    out_qid.append(qid)
-                    out_rank.append(r)
-                    out_doc.append(int(d))
-                    out_rs.append(int(h))
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "rs": pa.array(out_rs, type=pa.int64()),
-            })
-        if self.query_kind == "distance_feature":
-            out_qid, out_rank, out_doc, out_dist = [], [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, dists = self.search_distance_feature(q or "",
-                                                          lg or None)
-                for r, (d, dv) in enumerate(zip(ids, dists), start=1):
-                    out_qid.append(qid)
-                    out_rank.append(r)
-                    out_doc.append(int(d))
-                    out_dist.append(int(dv))
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "dist": pa.array(out_dist, type=pa.int64()),
-            })
-        if self.query_kind == "adjacency":
-            # one row per pair ALWAYS (zero-intersection cells emit 0 —
-            # the LEFT-JOIN oracle mirrors this)
-            return pa.table({
-                "query_id": pa.array(qids, type=pa.int64()),
-                "n_both": pa.array(
-                    [self.search_adjacency(q or "", lg or None)
-                     for q, lg in zip(batch["query"].to_pylist(), langs)],
-                    type=pa.int64()),
-            })
-        if self.query_kind == "pinned":
-            out = {"query_id": [], "rank": [], "doc_id": [], "score": [],
-                   "pinned": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, units, flags = self.search_pinned(q or "", lg or None)
-                for r, (d, u, f) in enumerate(zip(ids, units, flags),
-                                              start=1):
-                    out["query_id"].append(qid)
-                    out["rank"].append(r)
-                    out["doc_id"].append(int(d))
-                    out["score"].append(int(u) / SCORE_SCALE)
-                    out["pinned"].append(int(f))
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "rank": pa.array(out["rank"], type=pa.int32()),
-                "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-                "score": pa.array(out["score"], type=pa.float64()),
-                "pinned": pa.array(out["pinned"], type=pa.int64()),
-            })
-        if self.query_kind == "term_suggest":
-            # the query column carries one (possibly misspelled) token
-            out = {"query_id": [], "rank": [], "term": [], "dist": [],
-                   "df": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                for r, (term, d, df) in enumerate(
-                        self.suggest_terms(q or "", lg or None), start=1):
-                    out["query_id"].append(qid)
-                    out["rank"].append(r)
-                    out["term"].append(term)
-                    out["dist"].append(int(d))
-                    out["df"].append(int(df))
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "rank": pa.array(out["rank"], type=pa.int32()),
-                "term": pa.array(out["term"], type=pa.string()),
-                "dist": pa.array(out["dist"], type=pa.int64()),
-                "df": pa.array(out["df"], type=pa.int64()),
-            })
-        if self.query_kind == "constant_score":
-            out_qid, out_rank, out_doc = [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids = self.search_constant_score(q or "", lg or None)
-                for r, d in enumerate(ids, start=1):
-                    out_qid.append(qid)
-                    out_rank.append(r)
-                    out_doc.append(int(d))
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "score": pa.array([self.const_boost] * len(out_doc),
-                                  type=pa.float64()),
-            })
-        if self.query_kind == "rank_feature":
-            out_qid, out_rank, out_doc, out_score = [], [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, keys = self.search_rank_feature(q or "", lg or None)
-                for r, (d, kk) in enumerate(zip(ids, keys), start=1):
-                    out_qid.append(qid)
-                    out_rank.append(r)
-                    out_doc.append(int(d))
-                    out_score.append(int(kk) / SCORE_SCALE)
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "score": pa.array(out_score, type=pa.float64()),
-            })
-        if self.query_kind == "mad":
-            out_qid, out_n, out_med, out_mad = [], [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                n, med, mad = self.search_mad(q or "", lg or None)
-                if not n:
-                    continue
-                out_qid.append(qid)
-                out_n.append(n)
-                out_med.append(med)
-                out_mad.append(mad)
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "n_hits": pa.array(out_n, type=pa.int64()),
-                "median_dl": pa.array(out_med, type=pa.int64()),
-                "mad_dl": pa.array(out_mad, type=pa.int64()),
-            })
-        if self.query_kind == "boxplot":
-            out: dict[str, list] = {k: [] for k in
-                                    ("query_id", "n_hits", "min_dl",
-                                     "q1_dl", "median_dl", "q3_dl",
-                                     "max_dl")}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                n, lo, q1, med, q3, hi = self.search_boxplot(q or "",
-                                                             lg or None)
-                if not n:
-                    continue
-                for c, v in zip(out, (qid, n, lo, q1, med, q3, hi)):
-                    out[c].append(v)
-            return pa.table({c: pa.array(v, type=pa.int64())
-                             for c, v in out.items()})
-        if self.query_kind == "filters":
-            out_qid, out_b, out_n = [], [], []
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                names, counts = self.search_filters(q or "", lg or None)
-                for nm, n in zip(names, counts):
-                    out_qid.append(qid)
-                    out_b.append(nm)
-                    out_n.append(int(n))
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "bucket": pa.array(out_b, type=pa.string()),
-                "n_hits": pa.array(out_n, type=pa.int64()),
-            })
-        if self.query_kind in ("weighted_avg", "weighted_avg_partial"):
-            # weighted_avg: one row per query with a non-zero weight sum
-            # (the SQL HAVING twin); the average derives from the exact
-            # integer sums with ONE float division.  The partial (sharded
-            # pool) kind drops the HAVING rule — a shard whose range has
-            # hits but no weight mass must still contribute its n_hits —
-            # and omits the float; the merge re-applies both
-            out = {"query_id": [], "n_hits": [], "sum_w": [], "sum_wv": []}
-            fl: list[float] = []
-            partial = self.query_kind == "weighted_avg_partial"
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                n, sw, swv = self.search_weighted_avg(q or "", lg or None)
-                if (not n) or (not partial and not sw):
-                    continue
-                out["query_id"].append(qid)
-                out["n_hits"].append(n)
-                out["sum_w"].append(sw)
-                out["sum_wv"].append(swv)
-                if not partial:
-                    fl.append(swv / sw)
-            cols = {c: pa.array(v, type=pa.int64()) for c, v in out.items()}
-            if not partial:
-                cols["weighted_avg"] = pa.array(fl, type=pa.float64())
-            return pa.table(cols)
-        if self.query_kind in ("t_test", "t_test_partial"):
-            # t_test: one row per pair where BOTH sides have n >= 2
-            # (variance undefined below); floats from welch_t_floats.
-            # t_test_partial (the sharded pool kind): the raw integer
-            # sufficient statistics with NO skip rule — a shard seeing
-            # n=1 of a globally-large side must still contribute
-            out = {k: [] for k in ("query_id", "n1", "sum1", "sum_sq1",
-                                   "n2", "sum2", "sum_sq2")}
-            fl = {"mean1": [], "mean2": [], "t_stat": []}
-            partial = self.query_kind == "t_test_partial"
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                n1, s1, ss1, n2, s2, ss2 = self.search_t_test(q or "",
-                                                              lg or None)
-                if not partial and (n1 < 2 or n2 < 2):
-                    continue
-                for c, v in zip(out, (qid, n1, s1, ss1, n2, s2, ss2)):
-                    out[c].append(v)
-                if not partial:
-                    m1, m2, t = welch_t_floats(n1, s1, ss1, n2, s2, ss2)
-                    fl["mean1"].append(m1)
-                    fl["mean2"].append(m2)
-                    fl["t_stat"].append(t)
-            cols = {c: pa.array(v, type=pa.int64()) for c, v in out.items()}
-            if not partial:
-                for c, v in fl.items():
-                    cols[c] = pa.array(v, type=pa.float64())
-            return pa.table(cols)
-        if self.query_kind in ("phrase_suggest", "phrase_suggest_partial"):
-            # final kind: (rank, phrase, n_docs) cut to suggest_n;
-            # partial: every surviving phrase with its range-local count
-            # (no rank — the merge re-ranks summed counts)
-            partial = self.query_kind == "phrase_suggest_partial"
-            out = {"query_id": [], "rank": [], "phrase": [], "n_docs": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                rows = self.suggest_phrase(q or "", lg or None,
-                                           cut=not partial)
-                for r, (ph, n) in enumerate(rows, start=1):
-                    out["query_id"].append(qid)
-                    out["rank"].append(r)
-                    out["phrase"].append(ph)
-                    out["n_docs"].append(n)
-            cols = {
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "phrase": pa.array(out["phrase"], type=pa.string()),
-                "n_docs": pa.array(out["n_docs"], type=pa.int64()),
-            }
-            if not partial:
-                cols["rank"] = pa.array(out["rank"], type=pa.int64())
-            return pa.table(cols)
-        if self.query_kind == "scroll":
-            out = {"query_id": [], "page": [], "rank": [], "doc_id": [],
-                   "score": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids, units = self.search_scroll(q or "", lg or None)
-                for i, (d, u) in enumerate(zip(ids, units)):
-                    out["query_id"].append(qid)
-                    out["page"].append(i // self.k + 1)
-                    out["rank"].append(i % self.k + 1)
-                    out["doc_id"].append(int(d))
-                    out["score"].append(u / SCORE_SCALE)
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "page": pa.array(out["page"], type=pa.int32()),
-                "rank": pa.array(out["rank"], type=pa.int32()),
-                "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-                "score": pa.array(out["score"], type=pa.float64()),
-            })
-        if self.query_kind == "composite":
-            out = {"query_id": [], "lang": [], "bucket": [], "n_hits": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                lvs, buckets, counts = self.search_composite(q or "",
-                                                             lg or None)
-                for lv, b, c in zip(lvs, buckets, counts):
-                    out["query_id"].append(qid)
-                    out["lang"].append(lv)
-                    out["bucket"].append(int(b))
-                    out["n_hits"].append(int(c))
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "lang": pa.array(out["lang"], type=pa.string()),
-                "bucket": pa.array(out["bucket"], type=pa.int64()),
-                "n_hits": pa.array(out["n_hits"], type=pa.int64()),
-            })
-        if self.query_kind == "rank_eval":
-            out = {"query_id": [], "n_rel": [], "rel_in_topk": [],
-                   "first_rel_rank": []}
-            for qid, q, lg in zip(qids, batch["query"].to_pylist(), langs):
-                res = self.search_rank_eval(q or "", lg or None)
-                if res is None:
-                    continue
-                n_rel, in_page, first = res
-                out["query_id"].append(qid)
-                out["n_rel"].append(n_rel)
-                out["rel_in_topk"].append(in_page)
-                out["first_rel_rank"].append(first)
-            return pa.table({c: pa.array(v, type=pa.int64())
-                             for c, v in out.items()})
-        if self.query_kind == "mget":
-            # the query column carries a comma-separated explicit id list
-            # (ES ids-query / mget body); rows = live present docs' values
-            out_qid, out_d, out_l, out_lg = [], [], [], []
-            for qid, q, _lg in zip(qids, batch["query"].to_pylist(), langs):
-                ids = [int(x) for x in (q or "").split(",") if x]
-                d, dl, lgs_ = self.mget(ids)
-                out_qid.extend([qid] * len(d))
-                out_d.extend(int(x) for x in d)
-                out_l.extend(int(x) for x in dl)
-                out_lg.extend(lgs_)
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "doc_len": pa.array(out_l, type=pa.int64()),
-                "lang": pa.array(out_lg, type=pa.string()),
-            })
-        if self.query_kind == "count":
-            return pa.table({
-                "query_id": pa.array(qids, type=pa.int64()),
-                "n_hits": pa.array(
-                    [self.count_hits(q or "", lg or None)
-                     for q, lg in zip(batch["query"].to_pylist(), langs)],
-                    type=pa.int64()),
-            })
-        if self.query_kind == "explain":
-            # (query_id, query, doc_id[, lang]) -> one row per contributing
-            # term: the exact integers the scorer summed
-            out = {"query_id": [], "doc_id": [], "term": [], "qtf": [],
-                   "df": [], "tf": [], "contribution": []}
-            for qid, q, d, lg in zip(qids, batch["query"].to_pylist(),
-                                     batch["doc_id"].to_pylist(), langs):
-                for term, qtf, df, tf, u in self.explain(
-                        q or "", int(d), lg or None):
-                    out["query_id"].append(qid)
-                    out["doc_id"].append(int(d))
-                    out["term"].append(term)
-                    out["qtf"].append(qtf)
-                    out["df"].append(df)
-                    out["tf"].append(tf)
-                    out["contribution"].append(u / SCORE_SCALE)
-            return pa.table({
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-                "term": pa.array(out["term"], type=pa.string()),
-                "qtf": pa.array(out["qtf"], type=pa.int64()),
-                "df": pa.array(out["df"], type=pa.int64()),
-                "tf": pa.array(out["tf"], type=pa.int64()),
-                "contribution": pa.array(out["contribution"],
-                                         type=pa.float64()),
-            })
-        if self.query_kind == "search_after":
-            # (query_id, query, cursor_units, cursor_doc[, lang]): the
-            # next page strictly after the cursor, page-local ranks
-            inputs = zip(batch["query"].to_pylist(),
-                         batch["cursor_units"].to_pylist(),
-                         batch["cursor_doc"].to_pylist())
-            out_qid, out_rank, out_doc, out_score = [], [], [], []
-            for qid, (q, cu, cd), lg in zip(qids, inputs, langs):
-                ids, units = self.search_after(q or "", int(cu), int(cd),
-                                               lg or None)
-                for r, (d, u) in enumerate(zip(ids, units), start=1):
-                    out_qid.append(qid)
-                    out_rank.append(r)
-                    out_doc.append(int(d))
-                    out_score.append(u / SCORE_SCALE)
-            return pa.table({
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "score": pa.array(out_score, type=pa.float64()),
-            })
-        if self.query_kind == "bool":
-            # boolean batches carry list<string> clause columns instead of
-            # a query string: (query_id, must, should, must_not[, lang])
-            def _col(name):
-                if name in batch.schema.names:
-                    return batch[name].to_pylist()
-                return [[] for _ in qids]
-
-            msm = (batch["min_should_match"].to_pylist()
-                   if "min_should_match" in batch.schema.names
-                   else [0] * len(qids))
-            inputs = zip(_col("must"), _col("should"), _col("must_not"),
-                         _col("exclude_ids"), msm)
-
-            def search(spec, lg):
-                m, s, n, ex, mm = spec
-                return self.search_bool(m or [], s or [], n or [], lg,
-                                        exclude_ids=ex or [],
-                                        min_should_match=int(mm or 0))
-        elif self.query_kind == "filtered":
-            # (query_id, query, dl_lo, dl_hi[, lang]): BM25 + doc-len range
-            inputs = zip(batch["query"].to_pylist(),
-                         batch["dl_lo"].to_pylist(),
-                         batch["dl_hi"].to_pylist())
-
-            def search(spec, lg):
-                q, lo, hi = spec
-                return self.search_filtered(q or "", int(lo), int(hi), lg)
-        elif self.query_kind == "dis_max":
-            # (query_id, clauses list<string>[, lang])
-            inputs = iter(batch["clauses"].to_pylist())
-
-            def search(cl, lg):
-                return self.search_dis_max(cl or [], lg)
-        elif self.query_kind == "boosting":
-            # (query_id, query, negative[, lang])
-            inputs = zip(batch["query"].to_pylist(),
-                         batch["negative"].to_pylist())
-
-            def search(spec, lg):
-                q, neg = spec
-                return self.search_boosting(q or "", neg or "", lg)
-        else:
-            inputs = iter(batch["query"].to_pylist())
-            by_kind = {"text": self.search_one,
-                       "prefix": self.search_prefix,
-                       "fuzzy": self.search_fuzzy,
-                       "fuzzy2": self.search_fuzzy2,
-                       "wildcard": self.search_wildcard,
-                       "synonym": self.search_synonym,
-                       "regexp": self.search_regexp,
-                       "rescore": self.search_rescore,
-                       "function_score": self.search_function_score,
-                       "query_string": self.search_query_string,
-                       "multi_match": self.search_multi_match}
-
-            def search(q, lg, _f=by_kind[self.query_kind]):
-                return _f(q or "", lg)
-        out_qid, out_rank, out_doc, out_score = [], [], [], []
-        for qid, q, lg in zip(qids, inputs, langs):
-            ids, units = search(q, lg or None)
-            for r, (d, u) in enumerate(zip(ids, units), start=1):
-                out_qid.append(qid)
-                out_rank.append(r)
-                out_doc.append(int(d))
-                out_score.append(u / SCORE_SCALE)
-        return pa.table(
-            {
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "score": pa.array(out_score, type=pa.float64()),
-            }
-        )
+        """One pool batch -> result rows: the kind's ``rows`` answers each
+        query, then one vectorized Arrow emit in the kind's schema (KINDS
+        declares both)."""
+        spec = KINDS[self.query_kind]
+        qids = batch["query_id"].to_numpy(zero_copy_only=False)
+        *ins, langs = [_input_column(batch, c)
+                       for c in spec.inputs + ("lang",)]
+        results = [spec.rows(self, *args, lg or None)
+                   for *args, lg in zip(*ins, langs)]
+        return _emit(spec, self, qids, results)
 
 
 class TermSuggester:
@@ -3233,23 +2402,10 @@ class TermSuggester:
         return ranked[: self.n]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out_qid, out_rank, out_term, out_df = [], [], [], []
-        for qid, q in zip(batch["query_id"].to_pylist(),
-                          batch["query"].to_pylist()):
-            for r, (term, df_) in enumerate(self.suggest_one(q or ""),
-                                            start=1):
-                out_qid.append(qid)
-                out_rank.append(r)
-                out_term.append(term)
-                out_df.append(df_)
-        return pa.table(
-            {
-                "query_id": pa.array(out_qid, type=pa.int64()),
-                "rank": pa.array(out_rank, type=pa.int64()),
-                "term": pa.array(out_term, type=pa.string()),
-                "df": pa.array(out_df, type=pa.int64()),
-            }
-        )
+        return _emit(_SUGGEST, self,
+                     batch["query_id"].to_numpy(zero_copy_only=False),
+                     [_transpose(self.suggest_one(q), 2)
+                      for q in _input_column(batch, "query")])
 
 
 def run_suggest(queries_ds, index_dir: str, *, n: int = 10,
@@ -3271,6 +2427,648 @@ def run_suggest(queries_ds, index_dir: str, *, n: int = 10,
     )
 
 
+# ---------------------------------------------------------------- kinds --
+# Every query kind is declared ONCE, in KINDS below.  A KindSpec names the
+# input columns the kind reads, the ``rows`` function that answers one
+# query through the engine, the output schema, and — for kinds that shard
+# — the partial kind each doc-range pool runs plus the reducer that merges
+# one query's per-range rows.  QueryEngine validation, the actor emitter
+# (QueryEngine.__call__), run_queries_sharded and the pipelines' sharded
+# contract twins all read this one table.
+
+_TYPES = {"": pa.int64(), "i32": pa.int32(), "f64": pa.float64(),
+          "str": pa.string()}
+
+
+def _schema(cols: str) -> pa.Schema:
+    """``"name[:type] ..."`` -> Arrow schema; untyped columns are int64."""
+    return pa.schema([(n, _TYPES[t]) for n, _, t in
+                      (c.partition(":") for c in cols.split())])
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One query kind.
+
+    ``rows(engine, *inputs, lang)`` answers ONE query and returns its
+    output columns — the schema's fields minus ``query_id``, the generated
+    ``rank`` (``ranked=True``) and the reducer-derived floats — as equal-
+    length sequences, or None for no row.  ``merge(rows_of_one_query,
+    cfg, spec)`` reduces the per-range rows of the ``partial`` kind (the
+    kind itself when None) into this kind's final rows; a kind without a
+    merge does not shard.  ``schema`` may depend on the engine config
+    (percentiles names one column per quantile)."""
+
+    rows: Callable
+    schema: "pa.Schema | Callable[[Any], pa.Schema]"
+    inputs: tuple[str, ...] = ("query",)
+    ranked: bool = False
+    partial: str | None = None
+    merge: Callable | None = None
+
+    def schema_for(self, cfg) -> pa.Schema:
+        return self.schema(cfg) if callable(self.schema) else self.schema
+
+
+# input columns a batch may omit (boolean clause lists); ``_NULL_AS`` is
+# what a null input value means
+_OPTIONAL_INPUTS = ("lang", "must", "should", "must_not", "exclude_ids",
+                    "min_should_match")
+_NULL_AS = {"query": "", "negative": "", "clauses": [], "must": [],
+            "should": [], "must_not": [], "exclude_ids": [],
+            "min_should_match": 0}
+
+
+def _input_column(batch: pa.Table, name: str) -> list:
+    if name not in batch.schema.names and name in _OPTIONAL_INPUTS:
+        vals = [None] * batch.num_rows
+    else:
+        vals = batch[name].to_pylist()  # KeyError names a missing column
+    if name not in _NULL_AS:
+        return vals
+    null = _NULL_AS[name]
+    return [null if v is None else v for v in vals]
+
+
+def _emit(spec: KindSpec, cfg, qids, results: list) -> pa.Table:
+    """Per-query row columns -> one Arrow table in the kind's schema:
+    numpy concatenation per column, ``query_id`` by np.repeat and ``rank``
+    by arange.  Scores are ``units / SCORE_SCALE`` in float64 — exact
+    images of the integer units (bit-identical to a per-row ``u /
+    SCORE_SCALE`` while units stay below 2^53)."""
+    schema = spec.schema_for(cfg)
+    gsum = spec.merge if isinstance(spec.merge, GroupSum) else None
+    skip = {"query_id", "rank" if spec.ranked else ""}
+    skip.update(gsum.derived if gsum else ())
+    counts = np.array([0 if r is None else len(r[0]) for r in results],
+                      dtype=np.int64)
+    got = [r for r in results if r is not None]
+    cols = {"query_id": np.repeat(np.asarray(qids, dtype=np.int64), counts)}
+    if spec.ranked:
+        cols["rank"] = (np.arange(counts.sum())
+                        - np.repeat(np.cumsum(counts) - counts, counts) + 1)
+    for j, f in enumerate(x for x in schema if x.name not in skip):
+        parts = [r[j] for r in got]
+        if pa.types.is_string(f.type):
+            cols[f.name] = list(itertools.chain.from_iterable(parts))
+        else:
+            dt = f.type.to_pandas_dtype()
+            cols[f.name] = (np.concatenate([np.asarray(p, dtype=dt)
+                                            for p in parts])
+                            if parts else np.empty(0, dtype=dt))
+    t = pa.table({f.name: pa.array(cols[f.name], type=f.type)
+                  for f in schema if f.name in cols})
+    return gsum.finish(t) if gsum else t
+
+
+# ----------------------------------------------------- rows() factories --
+def _one(*vals) -> list:
+    """A single output row."""
+    return [[v] for v in vals]
+
+
+def _transpose(records: list, n: int) -> list:
+    """Row tuples -> n column lists."""
+    return [list(c) for c in zip(*records)] or [[] for _ in range(n)]
+
+
+def _answer(method, scaled: int | None = None, order=None):
+    """rows() for an engine method that already returns per-row columns:
+    ``scaled`` turns that column's integer units into the float score,
+    ``order`` permutes the columns into schema order.  ``method`` is an
+    engine method NAME, looked up per call, or a callable."""
+    call = method if callable(method) else (
+        lambda e, *a: getattr(e, method)(*a))
+
+    def rows(e, *args):
+        cols = list(call(e, *args))
+        if scaled is not None:
+            cols[scaled] = (np.asarray(cols[scaled], dtype=np.int64)
+                            / SCORE_SCALE)
+        return cols if order is None else [cols[i] for i in order]
+    return rows
+
+
+def _row_if_hits(method: str):
+    """rows() for a one-row aggregate whose first value is n_hits: zero-hit
+    queries emit nothing (the GROUP-BY oracle shape)."""
+    def rows(e, *args):
+        vals = getattr(e, method)(*args)
+        return _one(*vals) if vals[0] else None
+    return rows
+
+
+def _hist_rows(kernel):
+    """rows() for an aggregate over the doc_len value histogram."""
+    def rows(e, q, lg):
+        vals, counts = e.search_dl_value_counts(q, lg)
+        return _one(*kernel(vals, counts, e)) if len(vals) else None
+    return rows
+
+
+def _bool(e, must, should, must_not, exclude_ids, msm, lg):
+    return e.search_bool(must, should, must_not, lg,
+                         exclude_ids=exclude_ids,
+                         min_should_match=int(msm))
+
+
+def _constant_rows(e, q, lg):
+    ids = e.search_constant_score(q, lg)
+    return ids, np.full(len(ids), e.const_boost)
+
+
+def _scroll_rows(e, q, lg):
+    ids, units = e.search_scroll(q, lg)
+    i = np.arange(len(ids))
+    return i // e.k + 1, i % e.k + 1, ids, units / SCORE_SCALE
+
+
+def _cardinality_rows(e, q, lg):
+    lvs = e.search_cardinality(q, lg)
+    return _one(len(lvs)) if lvs else None
+
+
+def _rank_eval_rows(e, q, lg):
+    res = e.search_rank_eval(q, lg)
+    return None if res is None else _one(*res)
+
+
+def _explain_rows(e, q, d, lg):
+    # (query, doc_id) -> one row per contributing term: the exact integers
+    # the scorer summed
+    rows = e.explain(q, int(d), lg)
+    term, qtf, df, tf, u = _transpose(rows, 5)
+    return ([int(d)] * len(rows), term, qtf, df, tf,
+            np.asarray(u, dtype=np.int64) / SCORE_SCALE)
+
+
+def _rescore_partial_rows(e, q, lg):
+    # sharded rescore's per-range leg: the range-local phase-1 window with
+    # bm25 AND coord units (both exact per doc at any partitioning)
+    ords, units, coord = e._rescore_window_units(q, lg)
+    return (e.docs.gather_ids(ords) if len(ords) else ords), units, coord
+
+
+# ---------------------------------------------------------- reducers --
+# Each reducer gets ONE query's rows from every doc range (the output of
+# the partial kind), the merge config (QueryEngine defaults + k + the
+# engine_kwargs) and the kind's spec.  Shared exactness premise: every
+# posting of an in-range doc is in-range, so each range's answers are
+# complete and final for its own docs.
+
+def _np(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False)
+
+
+def _pylists(t: pa.Table, *cols: str) -> list[list]:
+    return [t[c].to_pylist() for c in cols]
+
+
+def _qid(g: pa.Table) -> int:
+    return g["query_id"][0].as_py()
+
+
+def _renumber(t: pa.Table, col: str = "rank") -> pa.Table:
+    return t.set_column(t.schema.get_field_index(col), col, pa.array(
+        np.arange(1, t.num_rows + 1, dtype=np.int32)))
+
+
+def _recut(key=None, distinct: str | None = None):
+    """Re-cut by sort key: re-sort the union of per-range pages on the
+    kind's key (doc_id ascending breaks ties, as in QueryEngine._topk) and
+    cut to k.  Exact for every selection by a per-doc key: a doc in the
+    global page has < k docs above it globally, hence < k above it in its
+    own range, hence is in that range's page.  Float scores are exact
+    images of the integer units, so score order IS unit order.
+
+    ``distinct`` (collapse) keeps the best row per value first: if a
+    group belongs in the global top-k representatives, fewer than k
+    groups have better global reps; in the range holding its best doc,
+    every rep ranked above it maps to a distinct group whose GLOBAL rep
+    is at least as good — so it survives every range-local cut."""
+    def merge(g, cfg, spec):
+        ids = _np(g, "doc_id")
+        order = np.lexsort((ids,) if key is None else (ids, key(g, cfg)))
+        if distinct is not None:
+            vals = np.asarray(g[distinct].to_pylist(), dtype=object)
+            _, first = np.unique(vals[order], return_index=True)
+            order = order[np.sort(first)]
+        return _renumber(g.take(pa.array(order[: int(cfg.k)])))
+    return merge
+
+
+_merge_topk = _recut(lambda g, cfg: -_np(g, "score"))
+
+
+def _merge_rescore(g, cfg, spec):
+    # the rescore tail: per-range windows COVER the global window (per-
+    # range sums are complete), so re-cut the global phase-1 window over
+    # their union under the engine's (-bm25, doc_id) rule — ordinals are
+    # order-isomorphic to doc ids — then combine and re-cut as top-k,
+    # exactly QueryEngine.search_rescore's tail
+    ids, bm25, coord = (_np(g, c) for c in
+                        ("doc_id", "bm25_units", "coord_units"))
+    win = np.lexsort((ids, -bm25))[: int(cfg.rescore_window)]
+    page = pa.table({
+        "query_id": g["query_id"].take(pa.array(win)),
+        "rank": pa.array(np.zeros(len(win), dtype=np.int32)),
+        "doc_id": pa.array(ids[win], type=pa.int64()),
+        "score": pa.array((bm25[win] + coord[win]) / SCORE_SCALE,
+                          type=pa.float64())})
+    return _merge_topk(page, cfg, spec)
+
+
+@dataclass(frozen=True)
+class GroupSum:
+    """Group-sum reducer: per-range rows are complete for their docs and
+    every doc lives in exactly one range, so per group key counts and
+    sums ADD, mins min, maxs max.  Floats never cross the merge:
+    ``derive`` recomputes the ``derived`` columns from the merged EXACT
+    integers with the op sequence the single-pool engine runs, and
+    ``keep`` (the emission rule) applies AFTER the merge — a population
+    may reach its threshold only globally.  The engine's own rows go
+    through the same ``finish``, so both paths share one derivation."""
+
+    keys: tuple[str, ...]
+    aggs: tuple[tuple[str, str], ...]
+    keep: Callable | None = None
+    derived: tuple[str, ...] = ()
+    derive: Callable | None = None
+
+    def finish(self, t: pa.Table) -> pa.Table:
+        if self.keep is not None:
+            t = t.filter(pa.array(self.keep(t)))
+        for name, vals in zip(self.derived,
+                              self.derive(t) if self.derive else ()):
+            t = t.append_column(name, pa.array(vals, type=pa.float64()))
+        return t
+
+    def __call__(self, g, cfg, spec):
+        # select by the aggregate's GENERATED names (not positional
+        # rename): pyarrow's key-vs-aggregate column ordering in
+        # group_by().aggregate() output is a version-dependent detail
+        keys = list(self.keys)
+        t = g.group_by(keys).aggregate(list(self.aggs))
+        t = t.select(keys + [f"{c}_{op}" for c, op in self.aggs])
+        return self.finish(t.rename_columns(keys + [c for c, _ in self.aggs]))
+
+
+def _sums(*cols: str) -> tuple[tuple[str, str], ...]:
+    return tuple((c, "sum") for c in cols)
+
+
+_DL_STATS = (("n_hits", "sum"), ("min_dl", "min"), ("max_dl", "max"),
+             ("sum_dl", "sum"))
+
+
+def _avg_dl(t: pa.Table) -> list:
+    # avg recomputes from the exact integer sums (never averaged across
+    # ranges); float64 division of ints < 2^53 == the per-row s / n
+    return [_np(t, "sum_dl").astype(np.float64)
+            / _np(t, "n_hits").astype(np.float64)]
+
+
+def _ext_floats(t: pa.Table) -> list:
+    # QueryEngine.ext_stats_floats per row — O(queries), not O(hits)
+    return _transpose([QueryEngine.ext_stats_floats(n, s, ss) for n, s, ss
+                       in zip(*_pylists(t, "n_hits", "sum_dl", "sum_sq"))],
+                      3)
+
+
+def _weighted_avg(t: pa.Table) -> list:
+    # the single float division, re-derived from the merged integer sums
+    return [[swv / sw for sw, swv in zip(*_pylists(t, "sum_w", "sum_wv"))]]
+
+
+_TT = ("n1", "sum1", "sum_sq1", "n2", "sum2", "sum_sq2")
+
+
+def _welch(t: pa.Table) -> list:
+    return _transpose([welch_t_floats(*r) for r in zip(*_pylists(t, *_TT))],
+                      3)
+
+
+def _hist_merge(kernel):
+    """Summed value histogram + the shared quantile kernel: per-range
+    partials are exact (dl, count) histograms of their range (bounded by
+    the doc_len domain, not the hit count); summed histograms recompute
+    EXACT quantiles — no t-digest approximation at any shard count."""
+    def merge(g, cfg, spec):
+        vals, inv = np.unique(_np(g, "dl"), return_inverse=True)
+        counts = np.zeros(len(vals), dtype=np.int64)
+        np.add.at(counts, inv, _np(g, "n"))
+        return _emit(spec, cfg, [_qid(g)], [_one(*kernel(vals, counts, cfg))])
+    return merge
+
+
+def _hist_kind(kernel, cols: str) -> KindSpec:
+    schema = cols if callable(cols) else _schema(cols)
+    return KindSpec(_hist_rows(kernel), schema, partial="percentiles_partial",
+                    merge=_hist_merge(kernel))
+
+
+def _percentiles(vals, counts, cfg):
+    n, ps = disc_percentiles(vals, counts, tuple(cfg.percentile_qs))
+    return (n, *ps)
+
+
+def _percentiles_schema(cfg) -> pa.Schema:
+    # one wide row per query: n_hits + one p{q} column per quantile
+    return _schema("query_id n_hits " + " ".join(
+        f"p{int(round(q * 100))}" for q in cfg.percentile_qs))
+
+
+def _merge_explain(g, cfg, spec):
+    # each (query, doc) lives in exactly one ordinal range: the union IS
+    # the answer (deterministic order for stable output)
+    idx = np.lexsort((np.asarray(g["term"].to_pylist(), dtype=object),
+                      _np(g, "doc_id")))
+    return g.take(pa.array(idx))
+
+
+def _merge_mget(g, cfg, spec):
+    # each doc lives in exactly one ordinal range: the union IS the answer;
+    # re-sort by doc_id for the single pool's ascending order
+    return g.take(pa.array(np.argsort(_np(g, "doc_id"))))
+
+
+def _merge_top_hits(g, cfg, spec):
+    # each doc lives in exactly one ordinal range, so per-range
+    # per-(query, lang) top-group_n rows cover the global top-group_n;
+    # re-rank per lang over the union and re-cut
+    ids, scores = _np(g, "doc_id"), _np(g, "score")
+    lgs = np.asarray(g["lang"].to_pylist(), dtype=object)
+    order = np.lexsort((ids, -scores))
+    sel = [order[lgs[order] == lv][: int(cfg.group_n)]
+           for lv in np.unique(lgs)]
+    t = g.take(pa.array(np.concatenate(sel)))
+    return t.set_column(t.schema.get_field_index("grank"), "grank", pa.array(
+        np.concatenate([np.arange(1, len(s) + 1, dtype=np.int32)
+                        for s in sel])))
+
+
+def _merge_pinned(g, cfg, spec):
+    # each range owns its pinned ordinals (flag=1 rows, complete unit
+    # sums) — their union is the full pinned set, re-sorted doc_id ASC;
+    # organic rows re-cut as plain top-k; concatenate, cut k
+    ids, scores, flags = (_np(g, c) for c in ("doc_id", "score", "pinned"))
+    pin, org = np.flatnonzero(flags == 1), np.flatnonzero(flags == 0)
+    sel = np.concatenate([pin[np.argsort(ids[pin])],
+                          org[np.lexsort((ids[org], -scores[org]))]])
+    return _renumber(g.take(pa.array(sel[: int(cfg.k)])))
+
+
+def _merge_cardinality(g, cfg, spec):
+    # per-range partials are the distinct (query, lang) pairs of their
+    # range; the exact merge is the distinct-union's size
+    return _emit(spec, cfg, [_qid(g)], [_one(len(set(g["lang"].to_pylist())))])
+
+
+def _merge_composite(g, cfg, spec):
+    # a global-page bucket survives every range-local cut (the range's
+    # preceding buckets are a subset of the global ones), so ALL its
+    # partial counts are present — sum per (lang, bucket), re-sort,
+    # re-filter, re-cut
+    acc: dict[tuple[str, int], int] = {}
+    for lv, b, c in zip(*_pylists(g, "lang", "bucket", "n_hits")):
+        acc[(lv, int(b))] = acc.get((lv, int(b)), 0) + int(c)
+    rows = sorted((lv, b, c) for (lv, b), c in acc.items())
+    if cfg.comp_after is not None:
+        after = (str(cfg.comp_after[0]), int(cfg.comp_after[1]))
+        rows = [r for r in rows if (r[0], r[1]) > after]
+    return _emit(spec, cfg, [_qid(g)],
+                 [_transpose(rows[: int(cfg.comp_size)], 3)])
+
+
+def _merge_phrase_suggest(g, cfg, spec):
+    # candidate generation is range-independent (global dictionary), so
+    # per-range (phrase, n_docs) counts ADD; re-rank the sums under the
+    # final kind's (n_docs DESC, phrase ASC) order, cut to suggest_n
+    t = g.group_by("phrase").aggregate([("n_docs", "sum")])
+    rows = sorted(zip(*_pylists(t, "phrase", "n_docs_sum")),
+                  key=lambda x: (-int(x[1]), x[0]))[: int(cfg.suggest_n)]
+    return _emit(spec, cfg, [_qid(g)], [_transpose(rows, 2)])
+
+
+_SCORED = "query_id rank:i32 doc_id score:f64"
+
+
+def _page_kind(method, inputs=("query",), shard: bool = True) -> KindSpec:
+    """A (doc_id, score) top-k page.  Per-range sums are complete and every
+    cursor / filter / demotion / factor is per-doc, so per-range pages are
+    final for their docs and merge as a plain top-k re-cut."""
+    return KindSpec(_answer(method, scaled=1), RESULT_SCHEMA, inputs,
+                    ranked=True, merge=_merge_topk if shard else None)
+
+
+KINDS: dict[str, KindSpec] = {
+    "text": _page_kind("search_one"),
+    "prefix": _page_kind("search_prefix"),
+    "fuzzy": _page_kind("search_fuzzy"),
+    "fuzzy2": _page_kind("search_fuzzy2"),
+    "wildcard": _page_kind("search_wildcard"),
+    "regexp": _page_kind("search_regexp"),
+    "synonym": _page_kind("search_synonym"),
+    "query_string": _page_kind("search_query_string"),
+    "function_score": _page_kind("search_function_score"),
+    # the float score is an exact image of the integer saturation key
+    "rank_feature": _page_kind("search_rank_feature"),
+    "bool": _page_kind(_bool, ("must", "should", "must_not", "exclude_ids",
+                               "min_should_match")),
+    "filtered": _page_kind("search_filtered", ("query", "dl_lo", "dl_hi")),
+    "search_after": _page_kind("search_after",
+                               ("query", "cursor_units", "cursor_doc")),
+    "dis_max": _page_kind("search_dis_max", ("clauses",)),
+    "boosting": _page_kind("search_boosting", ("query", "negative")),
+    # two field indexes with different ordinal spaces: not range-shardable
+    "multi_match": _page_kind("search_multi_match", shard=False),
+    "rescore": KindSpec(_answer("search_rescore", scaled=1), RESULT_SCHEMA,
+                        ranked=True, partial="rescore_partial",
+                        merge=_merge_rescore),
+    "rescore_partial": KindSpec(
+        _rescore_partial_rows,
+        _schema("query_id doc_id bm25_units coord_units")),
+    "collapse": KindSpec(_answer("search_collapse", scaled=1),
+                         _schema(_SCORED + " lang:str"), ranked=True,
+                         merge=_recut(lambda g, cfg: -_np(g, "score"),
+                                      distinct="lang")),
+    "sort": KindSpec(
+        _answer(lambda e, q, lg: e.search_sort(q, lg,
+                                               ascending=e.sort_ascending)),
+        _schema("query_id rank:i32 doc_id doc_len"), ranked=True,
+        merge=_recut(lambda g, cfg: (_np(g, "doc_len") if cfg.sort_ascending
+                                     else -_np(g, "doc_len")))),
+    # selection by a per-doc key (hash DESC / distance ASC / doc_id ASC)
+    "random_score": KindSpec(_answer("search_random_score"),
+                             _schema("query_id rank:i32 doc_id rs"),
+                             ranked=True,
+                             merge=_recut(lambda g, cfg: -_np(g, "rs"))),
+    "distance_feature": KindSpec(_answer("search_distance_feature"),
+                                 _schema("query_id rank:i32 doc_id dist"),
+                                 ranked=True,
+                                 merge=_recut(lambda g, cfg: _np(g, "dist"))),
+    # page = the first k hits in doc_id order; each range's first k
+    # contain its rows of the global page
+    "constant_score": KindSpec(_constant_rows, RESULT_SCHEMA, ranked=True,
+                               merge=_recut()),
+    "pinned": KindSpec(_answer("search_pinned", scaled=1),
+                       _schema(_SCORED + " pinned"), ranked=True,
+                       merge=_merge_pinned),
+    "top_hits": KindSpec(
+        _answer("search_top_hits", scaled=1, order=(2, 3, 0, 1)),
+        _schema("query_id lang:str grank:i32 doc_id score:f64"),
+        merge=_merge_top_hits),
+    "scroll": KindSpec(_scroll_rows,
+                       _schema("query_id page:i32 rank:i32 doc_id score:f64")),
+    "explain": KindSpec(
+        _explain_rows,
+        _schema("query_id doc_id term:str qtf df tf contribution:f64"),
+        inputs=("query", "doc_id"), merge=_merge_explain),
+    "mget": KindSpec(
+        lambda e, q, lg: e.mget([int(x) for x in q.split(",") if x]),
+        _schema("query_id doc_id doc_len lang:str"), merge=_merge_mget),
+    "term_suggest": KindSpec(
+        lambda e, q, lg: _transpose(e.suggest_terms(q, lg), 3),
+        _schema("query_id rank:i32 term:str dist df"), ranked=True),
+    "phrase_suggest": KindSpec(
+        lambda e, q, lg: _transpose(e.suggest_phrase(q, lg), 2),
+        _schema("query_id phrase:str n_docs rank"), ranked=True,
+        partial="phrase_suggest_partial", merge=_merge_phrase_suggest),
+    # every surviving phrase with its range-local count (no rank — the
+    # merge re-ranks summed counts)
+    "phrase_suggest_partial": KindSpec(
+        lambda e, q, lg: _transpose(e.suggest_phrase(q, lg, cut=False), 2),
+        _schema("query_id phrase:str n_docs")),
+    "lang_agg": KindSpec(_answer("search_lang_agg", scaled=2),
+                         _schema("query_id lang:str n_hits best_score:f64"),
+                         merge=GroupSum(("query_id", "lang"),
+                                        (("n_hits", "sum"),
+                                         ("best_score", "max")))),
+    "count": KindSpec(lambda e, q, lg: _one(e.count_hits(q, lg)),
+                      _schema("query_id n_hits"),
+                      merge=GroupSum(("query_id",), _sums("n_hits"))),
+    # one row per pair ALWAYS (zero-intersection cells emit 0, the
+    # LEFT-JOIN oracle's shape); presence sets are complete per range
+    "adjacency": KindSpec(lambda e, q, lg: _one(e.search_adjacency(q, lg)),
+                          _schema("query_id n_both"),
+                          merge=GroupSum(("query_id",), _sums("n_both"))),
+    "dl_hist": KindSpec(_answer("search_dl_hist"),
+                        _schema("query_id bucket n_hits"),
+                        merge=GroupSum(("query_id", "bucket"),
+                                       _sums("n_hits"))),
+    "range": KindSpec(_answer("search_range"),
+                      _schema("query_id bucket n_hits"),
+                      merge=GroupSum(("query_id", "bucket"),
+                                     _sums("n_hits"))),
+    # intersection counts over disjoint ranges ADD; zero-count buckets
+    # never appear
+    "filters": KindSpec(_answer("search_filters"),
+                        _schema("query_id bucket:str n_hits"),
+                        merge=GroupSum(("query_id", "bucket"),
+                                       _sums("n_hits"))),
+    "composite": KindSpec(_answer("search_composite"),
+                          _schema("query_id lang:str bucket n_hits"),
+                          merge=_merge_composite),
+    "stats": KindSpec(_row_if_hits("search_stats"),
+                      _schema("query_id n_hits min_dl max_dl sum_dl "
+                              "avg_dl:f64"),
+                      merge=GroupSum(("query_id",), _DL_STATS,
+                                     derived=("avg_dl",), derive=_avg_dl)),
+    "lang_stats": KindSpec(_answer("search_lang_stats"),
+                           _schema("query_id lang:str n_hits min_dl max_dl "
+                                   "sum_dl avg_dl:f64"),
+                           merge=GroupSum(("query_id", "lang"), _DL_STATS,
+                                          derived=("avg_dl",),
+                                          derive=_avg_dl)),
+    "ext_stats": KindSpec(
+        _row_if_hits("search_ext_stats"),
+        _schema("query_id n_hits min_dl max_dl sum_dl sum_sq avg_dl:f64 "
+                "variance:f64 std_dev:f64"),
+        merge=GroupSum(("query_id",), _DL_STATS + _sums("sum_sq"),
+                       derived=("avg_dl", "variance", "std_dev"),
+                       derive=_ext_floats)),
+    # weighted_avg: the sum_w > 0 emission rule is the SQL HAVING twin;
+    # the partial drops it — a range with hits but no weight mass must
+    # still contribute its n_hits
+    "weighted_avg": KindSpec(
+        _row_if_hits("search_weighted_avg"),
+        _schema("query_id n_hits sum_w sum_wv weighted_avg:f64"),
+        partial="weighted_avg_partial",
+        merge=GroupSum(("query_id",), _sums("n_hits", "sum_w", "sum_wv"),
+                       keep=lambda t: _np(t, "sum_w") > 0,
+                       derived=("weighted_avg",), derive=_weighted_avg)),
+    "weighted_avg_partial": KindSpec(_row_if_hits("search_weighted_avg"),
+                                     _schema("query_id n_hits sum_w sum_wv")),
+    # t_test: rows only where BOTH sides have n >= 2 (variance undefined
+    # below); the partial keeps every pair — a range seeing n=1 of a
+    # globally-large side must still contribute
+    "t_test": KindSpec(
+        lambda e, q, lg: _one(*e.search_t_test(q, lg)),
+        _schema("query_id " + " ".join(_TT) + " mean1:f64 mean2:f64 "
+                "t_stat:f64"),
+        partial="t_test_partial",
+        merge=GroupSum(("query_id",), _sums(*_TT),
+                       keep=lambda t: (_np(t, "n1") >= 2) & (_np(t, "n2") >= 2),
+                       derived=("mean1", "mean2", "t_stat"), derive=_welch)),
+    "t_test_partial": KindSpec(lambda e, q, lg: _one(*e.search_t_test(q, lg)),
+                               _schema("query_id " + " ".join(_TT))),
+    "cardinality": KindSpec(_cardinality_rows,
+                            _schema("query_id cardinality"),
+                            partial="cardinality_partial",
+                            merge=_merge_cardinality),
+    # the distinct (query_id, lang) pairs themselves: the exact-union
+    # partial
+    "cardinality_partial": KindSpec(
+        lambda e, q, lg: (e.search_cardinality(q, lg),),
+        _schema("query_id lang:str")),
+    # mad and boxplot need the full value histogram, which IS the
+    # percentiles partial (bounded by the dl domain)
+    "percentiles": _hist_kind(_percentiles, _percentiles_schema),
+    "mad": _hist_kind(lambda v, c, cfg: mad_from_hist(v, c),
+                      "query_id n_hits median_dl mad_dl"),
+    "boxplot": _hist_kind(lambda v, c, cfg: boxplot_from_hist(v, c),
+                          "query_id n_hits min_dl q1_dl median_dl q3_dl "
+                          "max_dl"),
+    "percentiles_partial": KindSpec(_answer("search_dl_value_counts"),
+                                    _schema("query_id dl n")),
+    "rank_eval": KindSpec(_rank_eval_rows,
+                          _schema("query_id n_rel rel_in_topk "
+                                  "first_rel_rank")),
+}
+
+
+# TermSuggester's (query_id, rank, term, df) rows, emitted the same way
+_SUGGEST = KindSpec(TermSuggester.suggest_one,
+                    _schema("query_id rank term:str df"), ranked=True)
+
+
+def _engine_cfg(k: int, scorer: str, engine_kwargs: dict | None):
+    """The merge-side view of a pool's engine config: QueryEngine's
+    keyword defaults overlaid with k, scorer and the engine_kwargs."""
+    params = inspect.signature(QueryEngine.__init__).parameters.values()
+    cfg = {p.name: p.default for p in params
+           if p.default is not inspect.Parameter.empty}
+    cfg.update(k=k, scorer=scorer, **(engine_kwargs or {}))
+    return SimpleNamespace(**cfg)
+
+
+def _merge_group(g: pa.Table, kind: str, cfg) -> pa.Table:
+    spec = KINDS[kind]
+    return spec.merge(g, cfg, spec)
+
+
+def _resolved(engine_kwargs: dict | None) -> dict:
+    """engine_kwargs with ``aux_index_dir`` resolved ONCE at the driver —
+    per-actor resolution could mix field-index generations inside one job
+    when an alias swaps mid pool construction."""
+    from .alias import resolve_index
+
+    kw = dict(engine_kwargs or {})
+    if kw.get("aux_index_dir"):
+        kw["aux_index_dir"] = resolve_index(kw["aux_index_dir"])
+    return kw
+
+
 def run_queries(
     queries_ds,
     index_dir: str,
@@ -3285,13 +3083,13 @@ def run_queries(
 ):
     """Queries Dataset -> results Dataset via the QueryEngine actor pool.
 
-    ``query_kind="prefix"`` treats each query string as a term prefix
-    (Lucene PrefixQuery semantics; QueryEngine.search_prefix).
+    ``query_kind`` selects a KINDS entry (e.g. "prefix" treats each query
+    string as a term prefix — Lucene PrefixQuery; QueryEngine.search_prefix).
     ``engine_kwargs`` pass through to the QueryEngine constructor (e.g.
     ``synonyms`` for query_kind="synonym")."""
     # resolve an alias ONCE at the driver, not per actor — a blue-green
     # swap mid-pool-construction must not mix index generations inside
-    # one result Dataset (run_queries_sharded already resolves up front)
+    # one result Dataset (the same holds for a second field index)
     from .alias import resolve_index
 
     index_dir = resolve_index(index_dir)
@@ -3303,7 +3101,7 @@ def run_queries(
         QueryEngine,
         fn_constructor_kwargs={"index_dir": index_dir, "k": k, "scorer": scorer,
                                "ord_range": ord_range, "query_kind": query_kind,
-                               **(engine_kwargs or {})},
+                               **_resolved(engine_kwargs)},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -3325,10 +3123,11 @@ def run_queries_sharded(
 ):
     """Doc-partitioned query fan-out: the 100x-scale serving shape.
 
-    All query kinds shard exactly: prefix/fuzzy expansion scans the (global)
-    dictionary identically in every shard, and boolean presence sets are
-    complete per ordinal range because every posting of an in-range doc is
-    in-range — so each shard's filters and scores are final for its docs.
+    Every kind with a KINDS merge shards exactly: prefix/fuzzy expansion
+    scans the (global) dictionary identically in every shard, and boolean
+    presence sets are complete per ordinal range because every posting of
+    an in-range doc is in-range — so each shard's filters and scores are
+    final for its docs.
 
     The index's doc-ordinal space [0, n_docs) is cut into ``n_query_shards``
     contiguous ranges; each range gets its OWN QueryEngine actor pool whose
@@ -3339,535 +3138,40 @@ def run_queries_sharded(
     nodes transparently (reference ingest.py:172); SURVEY §2.4 A4 prescribes
     exactly this partial-top-k + tiny merge.
 
-    Exactness: every posting of an in-range doc is in-range, so each shard's
-    scores are complete for its docs; a doc in the global top-k has < k docs
-    above it globally, hence < k above it in its own shard, hence is in that
-    shard's local top-k.  The merge re-cuts the union of local top-k lists
-    under the same (score desc, doc_id asc) order — rank- and
-    score-identical to the single-pool path (tested across shard counts).
+    Each range runs the kind's partial kind (KindSpec.partial — e.g. the
+    rescore window with bm25 + coord units, or the doc_len value histogram
+    for percentiles/mad/boxplot); the kind's reducer merges one query's
+    per-range rows — rank- and score-identical to the single-pool path
+    (tested across shard counts).
 
-    The merge is ``groupby(query_id).map_groups`` over k * n_shards rows per
-    query — one tiny task per query, never a data-scale shuffle.
+    The merge is ``groupby(query_id).map_groups`` over the per-range rows of
+    one query — one tiny task per query, never a data-scale shuffle.
     """
-    # kinds whose per-range answers compose exactly under a documented
-    # merge.  'rescore' runs each range as kind "rescore_partial" (the
-    # range-local phase-1 window with bm25 + coord units — per-shard
-    # windows COVER the global window because per-range sums are
-    # complete), merged by a global window re-cut + combine.  'explain'
-    # rows are per-(query, doc, term) facts owned by exactly one range —
-    # the merge is a plain union.
-    _SHARDABLE = {"text", "prefix", "fuzzy", "fuzzy2", "wildcard", "bool",
-                  "filtered", "synonym", "regexp", "search_after",
-                  "collapse", "lang_agg", "count", "dl_hist", "stats",
-                  "range", "dis_max", "boosting", "top_hits", "sort",
-                  "function_score", "rescore", "explain", "cardinality",
-                  "percentiles", "mget", "query_string", "lang_stats",
-                  "ext_stats", "random_score", "adjacency", "pinned",
-                  "constant_score", "rank_feature", "mad", "composite",
-                  "boxplot", "filters", "weighted_avg", "t_test",
-                  "phrase_suggest", "distance_feature"}
-    if query_kind not in _SHARDABLE:
+    spec = KINDS.get(query_kind)
+    if spec is None or spec.merge is None:
+        shardable = sorted(n for n, s in KINDS.items() if s.merge)
         raise ValueError(
             f"query_kind {query_kind!r} is not shard-mergeable "
-            f"(supported: {sorted(_SHARDABLE)}); run it through "
-            "run_queries instead")
-    # kinds whose per-range pool runs a PARTIAL variant (per-shard facts
-    # the merge reduces), not the final shape
-    _PARTIAL_KIND = {"rescore": "rescore_partial",
-                     "cardinality": "cardinality_partial",
-                     "percentiles": "percentiles_partial",
-                     # mad and boxplot need the full value histogram,
-                     # which IS the percentiles partial (bounded by the
-                     # dl domain)
-                     "mad": "percentiles_partial",
-                     "boxplot": "percentiles_partial",
-                     # raw integer sufficient statistics, no skip rules
-                     "t_test": "t_test_partial",
-                     "weighted_avg": "weighted_avg_partial",
-                     "phrase_suggest": "phrase_suggest_partial"}
-    pool_kind = _PARTIAL_KIND.get(query_kind, query_kind)
+            f"(supported: {shardable}); run it through run_queries instead")
     from .alias import resolve_index
 
     index_dir = resolve_index(index_dir)
+    engine_kwargs = _resolved(engine_kwargs)
     with open(os.path.join(index_dir, "MANIFEST.json")) as f:
         n_docs = json.load(f)["n_docs"]
     n_shards = max(1, min(n_query_shards, n_docs))
     bounds = [(i * n_docs) // n_shards for i in range(n_shards + 1)]
-    parts = []
-    for i in range(n_shards):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo >= hi:
-            continue
-        parts.append(
-            run_queries(
-                queries_ds, index_dir, k=k, scorer=scorer,
-                concurrency=concurrency_per_shard, batch_size=batch_size,
-                ord_range=(lo, hi), query_kind=pool_kind,
-                engine_kwargs=engine_kwargs,
-            )
+    parts = [
+        run_queries(
+            queries_ds, index_dir, k=k, scorer=scorer,
+            concurrency=concurrency_per_shard, batch_size=batch_size,
+            ord_range=(lo, hi), query_kind=spec.partial or query_kind,
+            engine_kwargs=engine_kwargs,
         )
-    merged = parts[0]
-    if len(parts) > 1:
-        merged = merged.union(*parts[1:])
-
-    def _merge_topk(g: pa.Table, k: int = k) -> pa.Table:
-        scores = g["score"].to_numpy(zero_copy_only=False)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        # float scores are exact images of the integer units, so score
-        # equality <=> unit equality; ties break by doc_id ascending,
-        # identical to QueryEngine._topk
-        order = np.lexsort((ids, -scores))[:k]
-        return pa.table(
-            {
-                "query_id": g["query_id"].take(pa.array(order)),
-                "rank": pa.array(
-                    np.arange(1, len(order) + 1, dtype=np.int32)),
-                "doc_id": pa.array(ids[order], type=pa.int64()),
-                "score": pa.array(scores[order], type=pa.float64()),
-            }
-        )
-
-    def _merge_collapse(g: pa.Table, k: int = k) -> pa.Table:
-        # exactness: if lang L belongs in the global top-k representatives,
-        # fewer than k langs have better global reps; in the shard holding
-        # L's best doc, every rep ranked above it maps to a distinct lang
-        # whose GLOBAL rep is at least as good — so < k shard reps outrank
-        # it and L survives every shard-local cut.  Merge = best row per
-        # (query, lang) across shards, then re-cut top-k.
-        scores = g["score"].to_numpy(zero_copy_only=False)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        langs = np.asarray(g["lang"].to_pylist(), dtype=object)
-        order = np.lexsort((ids, -scores))
-        _, first = np.unique(langs[order], return_index=True)
-        reps = order[np.sort(first)][:k]
-        return pa.table(
-            {
-                "query_id": g["query_id"].take(pa.array(reps)),
-                "rank": pa.array(
-                    np.arange(1, len(reps) + 1, dtype=np.int32)),
-                "doc_id": pa.array(ids[reps], type=pa.int64()),
-                "score": pa.array(scores[reps], type=pa.float64()),
-                "lang": pa.array(langs[reps].tolist(), type=pa.string()),
-            }
-        )
-
-    # select by the aggregate's GENERATED names (not positional rename):
-    # pyarrow's key-vs-aggregate column ordering in group_by().aggregate()
-    # output is a version-dependent implementation detail
-
-    def _merge_lang_agg(g: pa.Table) -> pa.Table:
-        # per-shard buckets are complete for their ordinal range: counts
-        # add, best scores max
-        t = (g.group_by(["query_id", "lang"])
-             .aggregate([("n_hits", "sum"), ("best_score", "max")]))
-        return t.select(["query_id", "lang", "n_hits_sum",
-                         "best_score_max"]).rename_columns(
-            ["query_id", "lang", "n_hits", "best_score"])
-
-    def _merge_count(g: pa.Table) -> pa.Table:
-        t = g.group_by("query_id").aggregate([("n_hits", "sum")])
-        return t.select(["query_id", "n_hits_sum"]).rename_columns(
-            ["query_id", "n_hits"])
-
-    def _merge_dl_hist(g: pa.Table) -> pa.Table:
-        t = (g.group_by(["query_id", "bucket"])
-             .aggregate([("n_hits", "sum")]))
-        return t.select(["query_id", "bucket", "n_hits_sum"]).rename_columns(
-            ["query_id", "bucket", "n_hits"])
-
-    def _merge_rescore(g: pa.Table, k: int = k) -> pa.Table:
-        # global phase-1 window over the union of per-range windows (same
-        # (-bm25, doc_id) rule as the engine's ordinal cut — ordinals are
-        # order-isomorphic to doc ids), then combine + final cut, exactly
-        # QueryEngine.search_rescore's tail
-        w = int((engine_kwargs or {}).get("rescore_window", 50))
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        bm25 = g["bm25_units"].to_numpy(zero_copy_only=False)
-        coord = g["coord_units"].to_numpy(zero_copy_only=False)
-        win = np.lexsort((ids, -bm25))[:w]
-        comb = bm25[win] + coord[win]
-        order = np.lexsort((ids[win], -comb))[:k]
-        sel = win[order]
-        return pa.table({
-            "query_id": g["query_id"].take(pa.array(sel)),
-            "rank": pa.array(np.arange(1, len(sel) + 1, dtype=np.int32)),
-            "doc_id": pa.array(ids[sel], type=pa.int64()),
-            "score": pa.array(comb[order] / SCORE_SCALE,
-                              type=pa.float64()),
-        })
-
-    def _merge_explain(g: pa.Table) -> pa.Table:
-        # each (query, doc) lives in exactly one ordinal range: the union
-        # IS the answer (deterministic order for stable output)
-        idx = np.lexsort((np.asarray(g["term"].to_pylist(), dtype=object),
-                          g["doc_id"].to_numpy(zero_copy_only=False)))
-        return g.take(pa.array(idx))
-
-    def _merge_sort(g: pa.Table) -> pa.Table:
-        # per-shard field-sorted pages are complete per ordinal range:
-        # merge = re-sort the union on the same key and re-cut
-        asc = bool((engine_kwargs or {}).get("sort_ascending", False))
-        dls = g["doc_len"].to_numpy(zero_copy_only=False)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, dls if asc else -dls))[:k]
-        return pa.table({
-            "query_id": g["query_id"].take(pa.array(order)),
-            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int32)),
-            "doc_id": pa.array(ids[order], type=pa.int64()),
-            "doc_len": pa.array(dls[order].astype(np.int64),
-                                type=pa.int64()),
-        })
-
-    def _merge_top_hits(g: pa.Table) -> pa.Table:
-        # exact: each doc lives in exactly one ordinal range, so per-shard
-        # per-(query, lang) top-group_n rows cover the global top-group_n;
-        # merge = re-rank per lang over the union and re-cut
-        gn = int((engine_kwargs or {}).get("group_n", 3))
-        scores = g["score"].to_numpy(zero_copy_only=False)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        lgs = np.asarray(g["lang"].to_pylist(), dtype=object)
-        qcol = g["query_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -scores))
-        sel, granks = [], []
-        for lv in np.unique(lgs):
-            rows = order[lgs[order] == lv][:gn]
-            sel.append(rows)
-            granks.append(np.arange(1, len(rows) + 1, dtype=np.int32))
-        sel = np.concatenate(sel)
-        granks = np.concatenate(granks)
-        return pa.table({
-            "query_id": pa.array(qcol[sel], type=pa.int64()),
-            "lang": pa.array(lgs[sel].tolist(), type=pa.string()),
-            "grank": pa.array(granks),
-            "doc_id": pa.array(ids[sel], type=pa.int64()),
-            "score": pa.array(scores[sel], type=pa.float64()),
-        })
-
-    def _merge_stats(g: pa.Table) -> pa.Table:
-        # per-shard partials are complete for their ordinal range: counts
-        # and sums add, mins min, maxs max; avg recomputes from the exact
-        # integer sums (never averaged across shards)
-        t = (g.group_by("query_id")
-             .aggregate([("n_hits", "sum"), ("min_dl", "min"),
-                         ("max_dl", "max"), ("sum_dl", "sum")]))
-        t = t.select(["query_id", "n_hits_sum", "min_dl_min", "max_dl_max",
-                      "sum_dl_sum"]).rename_columns(
-            ["query_id", "n_hits", "min_dl", "max_dl", "sum_dl"])
-        n = t["n_hits"].to_numpy(zero_copy_only=False).astype(np.float64)
-        s = t["sum_dl"].to_numpy(zero_copy_only=False).astype(np.float64)
-        return t.append_column("avg_dl", pa.array(s / n, type=pa.float64()))
-
-    def _merge_lang_stats(g: pa.Table) -> pa.Table:
-        # per-shard (query, lang) partials are complete for their ordinal
-        # range: counts/sums add, mins min, maxs max; avg recomputes from
-        # the exact integer sums (never averaged across shards)
-        t = (g.group_by(["query_id", "lang"])
-             .aggregate([("n_hits", "sum"), ("min_dl", "min"),
-                         ("max_dl", "max"), ("sum_dl", "sum")]))
-        t = t.select(["query_id", "lang", "n_hits_sum", "min_dl_min",
-                      "max_dl_max", "sum_dl_sum"]).rename_columns(
-            ["query_id", "lang", "n_hits", "min_dl", "max_dl", "sum_dl"])
-        n = t["n_hits"].to_numpy(zero_copy_only=False).astype(np.float64)
-        s = t["sum_dl"].to_numpy(zero_copy_only=False).astype(np.float64)
-        return t.append_column("avg_dl", pa.array(s / n, type=pa.float64()))
-
-    def _merge_mget(g: pa.Table) -> pa.Table:
-        # each doc lives in exactly one ordinal range: the union IS the
-        # answer; re-sort by doc_id for the single-pool's deterministic
-        # ascending order
-        order = np.argsort(g["doc_id"].to_numpy(zero_copy_only=False))
-        return g.take(pa.array(order))
-
-    def _merge_cardinality(g: pa.Table) -> pa.Table:
-        # per-shard partials are the distinct (query, lang) pairs of their
-        # ordinal range; the exact merge is the distinct-union's size
-        n = len(set(g["lang"].to_pylist()))
-        return pa.table({
-            "query_id": pa.array([g["query_id"][0].as_py()],
-                                 type=pa.int64()),
-            "cardinality": pa.array([n], type=pa.int64()),
-        })
-
-    def _merge_percentiles(g: pa.Table) -> pa.Table:
-        # per-shard partials are exact (dl, count) histograms of their
-        # range; summed histograms recompute EXACT percentiles — no
-        # t-digest-style approximation error at any shard count
-        qs = tuple((engine_kwargs or {}).get("percentile_qs",
-                                             PERCENTILE_QS))
-        t = g.group_by("dl").aggregate([("n", "sum")])
-        dl = t["dl"].to_numpy(zero_copy_only=False)
-        cnt = t.column("n_sum").to_numpy(zero_copy_only=False)
-        order = np.argsort(dl)
-        n, ps = disc_percentiles(dl[order], cnt[order], qs)
-        row = {"query_id": pa.array([g["query_id"][0].as_py()],
-                                    type=pa.int64()),
-               "n_hits": pa.array([n], type=pa.int64())}
-        for q, v in zip(qs, ps):
-            row[f"p{int(round(q * 100))}"] = pa.array([v], type=pa.int64())
-        return pa.table(row)
-
-    def _merge_ext_stats(g: pa.Table) -> pa.Table:
-        # counts/sums/sum_sqs add, mins min, maxs max; the floats re-derive
-        # from the EXACT merged integers via the same op sequence the
-        # single-pool engine runs (QueryEngine.ext_stats_floats) — one row
-        # per query, so the python loop is O(queries), not O(hits)
-        t = (g.group_by("query_id")
-             .aggregate([("n_hits", "sum"), ("min_dl", "min"),
-                         ("max_dl", "max"), ("sum_dl", "sum"),
-                         ("sum_sq", "sum")]))
-        t = t.select(["query_id", "n_hits_sum", "min_dl_min", "max_dl_max",
-                      "sum_dl_sum", "sum_sq_sum"]).rename_columns(
-            ["query_id", "n_hits", "min_dl", "max_dl", "sum_dl", "sum_sq"])
-        avgs, vars_, stds = [], [], []
-        for n, s, ss in zip(t["n_hits"].to_pylist(),
-                            t["sum_dl"].to_pylist(),
-                            t["sum_sq"].to_pylist()):
-            a, v, sd = QueryEngine.ext_stats_floats(int(n), int(s), int(ss))
-            avgs.append(a)
-            vars_.append(v)
-            stds.append(sd)
-        return (t.append_column("avg_dl", pa.array(avgs, type=pa.float64()))
-                 .append_column("variance", pa.array(vars_,
-                                                     type=pa.float64()))
-                 .append_column("std_dev", pa.array(stds,
-                                                    type=pa.float64())))
-
-    def _merge_random(g: pa.Table, k: int = k) -> pa.Table:
-        # selection by a per-doc key: every doc lives in exactly one
-        # range, so the union re-cut under (hash desc, doc_id asc) is the
-        # global page
-        rs = g["rs"].to_numpy(zero_copy_only=False)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -rs))[:k]
-        return pa.table({
-            "query_id": g["query_id"].take(pa.array(order)),
-            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int32)),
-            "doc_id": pa.array(ids[order], type=pa.int64()),
-            "rs": pa.array(rs[order], type=pa.int64()),
-        })
-
-    def _merge_distance(g: pa.Table, k: int = k) -> pa.Table:
-        # selection by a per-doc key (the random_score rule, ascending):
-        # every doc lives in exactly one range, so the union re-cut
-        # under (dist asc, doc_id asc) is the global page
-        dist = g["dist"].to_numpy(zero_copy_only=False)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, dist))[:k]
-        return pa.table({
-            "query_id": g["query_id"].take(pa.array(order)),
-            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int32)),
-            "doc_id": pa.array(ids[order], type=pa.int64()),
-            "dist": pa.array(dist[order], type=pa.int64()),
-        })
-
-    def _merge_adjacency(g: pa.Table) -> pa.Table:
-        # both presence sets are complete per ordinal range and every doc
-        # lives in exactly one range — cells ADD
-        return pa.table({
-            "query_id": pa.array([g["query_id"][0].as_py()],
-                                 type=pa.int64()),
-            "n_both": pa.array(
-                [int(np.sum(g["n_both"].to_numpy(zero_copy_only=False)))],
-                type=pa.int64()),
-        })
-
-    def _merge_pinned(g: pa.Table, k: int = k) -> pa.Table:
-        # each range owns its pinned ordinals (flag=1 rows, complete unit
-        # sums) — their union is the full pinned set, re-sorted doc_id
-        # ASC; organic rows re-cut as plain top-k; concatenate, cut k
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        scores = g["score"].to_numpy(zero_copy_only=False)
-        flags = g["pinned"].to_numpy(zero_copy_only=False)
-        pin = np.flatnonzero(flags == 1)
-        org = np.flatnonzero(flags == 0)
-        pin = pin[np.argsort(ids[pin])]
-        org = org[np.lexsort((ids[org], -scores[org]))]
-        sel = np.concatenate([pin, org])[:k]
-        return pa.table({
-            "query_id": g["query_id"].take(pa.array(sel)),
-            "rank": pa.array(np.arange(1, len(sel) + 1, dtype=np.int32)),
-            "doc_id": pa.array(ids[sel], type=pa.int64()),
-            "score": pa.array(scores[sel], type=pa.float64()),
-            "pinned": pa.array(flags[sel], type=pa.int64()),
-        })
-
-    def _merge_const(g: pa.Table, k: int = k) -> pa.Table:
-        # page = first k hits in doc_id order; per-shard pages cover the
-        # global page (each shard's first-k contains its global-page rows)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ids)[:k]
-        return pa.table({
-            "query_id": g["query_id"].take(pa.array(order)),
-            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int32)),
-            "doc_id": pa.array(ids[order], type=pa.int64()),
-            "score": g["score"].take(pa.array(order)),
-        })
-
-    def _merge_mad(g: pa.Table) -> pa.Table:
-        # input: per-shard (query_id, dl, n) value-histogram partials —
-        # sum per dl, then the shared discrete-quantile kernel
-        dl = g["dl"].to_numpy(zero_copy_only=False)
-        nn = g["n"].to_numpy(zero_copy_only=False)
-        vals, inv = np.unique(dl, return_inverse=True)
-        counts = np.bincount(inv, weights=nn).astype(np.int64)
-        n, med, mad = mad_from_hist(vals, counts)
-        return pa.table({
-            "query_id": pa.array([g["query_id"][0].as_py()],
-                                 type=pa.int64()),
-            "n_hits": pa.array([n], type=pa.int64()),
-            "median_dl": pa.array([med], type=pa.int64()),
-            "mad_dl": pa.array([mad], type=pa.int64()),
-        })
-
-    def _merge_boxplot(g: pa.Table) -> pa.Table:
-        # per-shard (query_id, dl, n) value-histogram partials — sum per
-        # dl, then the shared discrete-quantile kernel (exact quartiles
-        # at any shard count, the mad pattern)
-        dl = g["dl"].to_numpy(zero_copy_only=False)
-        nn = g["n"].to_numpy(zero_copy_only=False)
-        vals, inv = np.unique(dl, return_inverse=True)
-        counts = np.bincount(inv, weights=nn).astype(np.int64)
-        n, lo, q1, med, q3, hi = boxplot_from_hist(vals, counts)
-        return pa.table({
-            "query_id": pa.array([g["query_id"][0].as_py()],
-                                 type=pa.int64()),
-            "n_hits": pa.array([n], type=pa.int64()),
-            "min_dl": pa.array([lo], type=pa.int64()),
-            "q1_dl": pa.array([q1], type=pa.int64()),
-            "median_dl": pa.array([med], type=pa.int64()),
-            "q3_dl": pa.array([q3], type=pa.int64()),
-            "max_dl": pa.array([hi], type=pa.int64()),
-        })
-
-    def _merge_filters(g: pa.Table) -> pa.Table:
-        # per-shard (bucket, n_hits) rows: intersection counts over
-        # disjoint ordinal ranges ADD; zero-count buckets never appear
-        t = (g.group_by(["query_id", "bucket"])
-             .aggregate([("n_hits", "sum")]))
-        return (t.select(["query_id", "bucket", "n_hits_sum"])
-                 .rename_columns(["query_id", "bucket", "n_hits"]))
-
-    def _merge_weighted_avg(g: pa.Table) -> pa.Table:
-        # partial rows carry n_hits/sum_w/sum_wv for EVERY hit-bearing
-        # shard (no HAVING rule — weighted_avg_partial): integer sums
-        # add, the sum_w > 0 emission rule re-applies globally, and the
-        # average re-derives with the identical single float division
-        t = (g.group_by("query_id")
-             .aggregate([("n_hits", "sum"), ("sum_w", "sum"),
-                         ("sum_wv", "sum")]))
-        t = (t.select(["query_id", "n_hits_sum", "sum_w_sum",
-                       "sum_wv_sum"])
-              .rename_columns(["query_id", "n_hits", "sum_w", "sum_wv"]))
-        keep = [i for i, sw in enumerate(t["sum_w"].to_pylist()) if sw > 0]
-        t = t.take(pa.array(keep, type=pa.int64()))
-        avg = [swv / sw for sw, swv in zip(t["sum_w"].to_pylist(),
-                                           t["sum_wv"].to_pylist())]
-        return t.append_column("weighted_avg",
-                               pa.array(avg, type=pa.float64()))
-
-    def _merge_t_test(g: pa.Table) -> pa.Table:
-        # integer sufficient statistics add; floats re-derive via the
-        # shared welch_t_floats, and the n >= 2 emission rule applies
-        # AFTER the merge (a side can reach 2 only globally)
-        t = (g.group_by("query_id")
-             .aggregate([(c, "sum") for c in
-                         ("n1", "sum1", "sum_sq1", "n2", "sum2",
-                          "sum_sq2")]))
-        t = (t.select(["query_id"] + [f"{c}_sum" for c in
-                      ("n1", "sum1", "sum_sq1", "n2", "sum2", "sum_sq2")])
-              .rename_columns(["query_id", "n1", "sum1", "sum_sq1", "n2",
-                               "sum2", "sum_sq2"]))
-        keep = [i for i, (n1, n2) in enumerate(zip(t["n1"].to_pylist(),
-                                                   t["n2"].to_pylist()))
-                if n1 >= 2 and n2 >= 2]
-        t = t.take(pa.array(keep, type=pa.int64()))
-        m1s, m2s, ts = [], [], []
-        for n1, s1, ss1, n2, s2, ss2 in zip(
-                t["n1"].to_pylist(), t["sum1"].to_pylist(),
-                t["sum_sq1"].to_pylist(), t["n2"].to_pylist(),
-                t["sum2"].to_pylist(), t["sum_sq2"].to_pylist()):
-            m1, m2, tv = welch_t_floats(int(n1), int(s1), int(ss1),
-                                        int(n2), int(s2), int(ss2))
-            m1s.append(m1)
-            m2s.append(m2)
-            ts.append(tv)
-        return (t.append_column("mean1", pa.array(m1s, type=pa.float64()))
-                 .append_column("mean2", pa.array(m2s, type=pa.float64()))
-                 .append_column("t_stat", pa.array(ts, type=pa.float64())))
-
-    def _merge_phrase_suggest(g: pa.Table) -> pa.Table:
-        # candidate generation is range-independent (global dictionary),
-        # so per-shard (phrase, n_docs) counts ADD; re-rank the sums
-        # under the final kind's (n_docs DESC, phrase ASC) order, cut to
-        # suggest_n
-        n_sug = int((engine_kwargs or {}).get("suggest_n", 5))
-        t = g.group_by("phrase").aggregate([("n_docs", "sum")])
-        rows = sorted(zip(t["phrase"].to_pylist(),
-                          t["n_docs_sum"].to_pylist()),
-                      key=lambda x: (-int(x[1]), x[0]))[:n_sug]
-        qid = g["query_id"][0].as_py()
-        return pa.table({
-            "query_id": pa.array([qid] * len(rows), type=pa.int64()),
-            "phrase": pa.array([r[0] for r in rows], type=pa.string()),
-            "n_docs": pa.array([int(r[1]) for r in rows],
-                               type=pa.int64()),
-            "rank": pa.array(list(range(1, len(rows) + 1)),
-                             type=pa.int64()),
-        })
-
-    comp_kw = engine_kwargs or {}
-    comp_size = int(comp_kw.get("comp_size", 4))
-    comp_after = comp_kw.get("comp_after")
-
-    def _merge_composite(g: pa.Table, size: int = comp_size,
-                         after=comp_after) -> pa.Table:
-        # a global-page bucket survives every shard-local cut (the shard's
-        # preceding buckets are a subset of the global ones), so ALL its
-        # partial counts are present — sum per (lang, bucket), re-sort,
-        # re-filter, re-cut
-        langs = g["lang"].to_pylist()
-        buckets = g["bucket"].to_pylist()
-        ns = g["n_hits"].to_pylist()
-        acc: dict[tuple[str, int], int] = {}
-        for lv, b, c in zip(langs, buckets, ns):
-            key = (lv, int(b))
-            acc[key] = acc.get(key, 0) + int(c)
-        rows = sorted((lv, b, c) for (lv, b), c in acc.items())
-        if after is not None:
-            al, ab = str(after[0]), int(after[1])
-            rows = [r for r in rows if (r[0], r[1]) > (al, ab)]
-        rows = rows[:size]
-        qid = g["query_id"][0].as_py()
-        return pa.table({
-            "query_id": pa.array([qid] * len(rows), type=pa.int64()),
-            "lang": pa.array([r[0] for r in rows], type=pa.string()),
-            "bucket": pa.array([r[1] for r in rows], type=pa.int64()),
-            "n_hits": pa.array([r[2] for r in rows], type=pa.int64()),
-        })
-
-    by_kind = {"collapse": _merge_collapse, "lang_agg": _merge_lang_agg,
-               "count": _merge_count, "dl_hist": _merge_dl_hist,
-               "stats": _merge_stats, "range": _merge_dl_hist,
-               "top_hits": _merge_top_hits, "sort": _merge_sort,
-               "rescore": _merge_rescore, "explain": _merge_explain,
-               "cardinality": _merge_cardinality,
-               "percentiles": _merge_percentiles,
-               "mget": _merge_mget, "lang_stats": _merge_lang_stats,
-               "ext_stats": _merge_ext_stats,
-               "random_score": _merge_random,
-               "adjacency": _merge_adjacency, "pinned": _merge_pinned,
-               "constant_score": _merge_const, "mad": _merge_mad,
-               "composite": _merge_composite, "boxplot": _merge_boxplot,
-               "filters": _merge_filters,
-               "weighted_avg": _merge_weighted_avg,
-               "t_test": _merge_t_test,
-               "phrase_suggest": _merge_phrase_suggest,
-               "distance_feature": _merge_distance}
-    # the ranked kinds (text/prefix/fuzzy/wildcard/bool/filtered/synonym/
-    # regexp/search_after) all merge as plain top-k: per-shard scores are
-    # complete and the cursor/filter predicates are per-doc, hence exact
-    # per range
-    merge_fn = by_kind.get(query_kind, _merge_topk)
+        for lo, hi in zip(bounds, bounds[1:]) if lo < hi
+    ]
+    merged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
     return merged.groupby("query_id").map_groups(
-        merge_fn, batch_format="pyarrow"
-    )
+        _merge_group, fn_args=(query_kind, _engine_cfg(k, scorer,
+                                                       engine_kwargs)),
+        batch_format="pyarrow")

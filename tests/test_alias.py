@@ -96,3 +96,81 @@ def test_alias_cli_roundtrip(two_indexes):
     assert resolve_index(alias) == os.path.abspath(green)
     assert cli.main(["alias", os.path.join(BASE, "missing.alias")]) == 2
     assert cli.main(["alias", alias, "--set", "/nonexistent/idx"]) == 2
+
+
+def test_concurrent_swaps_leave_parseable_alias_and_no_temp_files(
+        two_indexes):
+    """Each swap writes its own temp file: concurrent repoints of one
+    alias never steal each other's temp (a shared fixed name made the
+    loser's os.replace fail) and leave nothing behind."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    blue, green = two_indexes
+    d = os.path.join(BASE, "swaps")
+    os.makedirs(d, exist_ok=True)
+    alias = os.path.join(d, "hot.alias")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        list(pool.map(lambda i: set_alias(alias, (blue, green)[i % 2]),
+                      range(40), timeout=120))
+    assert resolve_index(alias) in (os.path.abspath(blue),
+                                    os.path.abspath(green))
+    assert os.listdir(d) == ["hot.alias"]
+    assert oct(os.stat(alias).st_mode & 0o777) == oct(0o644)
+
+
+def test_unparseable_alias_file_raises_naming_it(two_indexes, tmp_path):
+    bad = tmp_path / "broken.alias"
+    bad.write_text("{not json")
+    with pytest.raises(ValueError, match="broken.alias"):
+        resolve_index(str(bad))
+    bad.write_text('{"other": "x"}')
+    with pytest.raises(ValueError, match="broken.alias"):
+        resolve_index(str(bad))
+    # the engine surfaces the same error, not a missing MANIFEST
+    with pytest.raises(ValueError, match="broken.alias"):
+        QueryEngine(str(bad))
+    # a missing path still passes through to the loud FileNotFoundError
+    with pytest.raises(FileNotFoundError):
+        QueryEngine(str(tmp_path / "nothing-here"))
+
+
+def test_fields_cli_resolves_alias(two_indexes, capsys):
+    from splade_ray import cli
+
+    blue, _ = two_indexes
+    alias = os.path.join(BASE, "fields.alias")
+    set_alias(alias, blue)
+    assert cli.main(["fields", "--index", alias]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("content\ttext")
+    assert f"n_docs={QueryEngine(blue).n_docs}\t" in out
+
+
+def test_run_queries_resolves_aux_alias_at_driver(two_indexes):
+    """multi_match's second field index is resolved ONCE when the job is
+    built: an alias swap before the lazy Dataset executes must not reach
+    its actors (per-actor resolution could mix generations in one job)."""
+    import pyarrow as pa
+
+    from splade_ray.query import run_queries
+
+    blue, green = two_indexes
+    aux = os.path.join(BASE, "aux.alias")
+    q = pa.table({"query_id": pa.array([0, 1, 2], type=pa.int64()),
+                  "query": ["merge", "parse json value", "def return"]})
+
+    def job(aux_dir):
+        return run_queries(rd.from_arrow(q), blue, k=5, concurrency=1,
+                           query_kind="multi_match",
+                           engine_kwargs={"aux_index_dir": aux_dir})
+
+    def rows(ds):
+        return sorted(ds.to_pandas().itertuples(index=False))
+
+    want_blue, want_green = rows(job(blue)), rows(job(green))
+    assert want_blue != want_green  # the two generations answer differently
+    set_alias(aux, blue)
+    pending = job(aux)
+    set_alias(aux, green)  # swap after the job is built, before it runs
+    assert rows(pending) == want_blue
+    assert rows(job(aux)) == want_green  # a job built afterwards sees it

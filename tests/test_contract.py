@@ -42,6 +42,19 @@ FAST_KEYS = [
     "phrase_near_unordered", "scorer_eval",
     "bm25_topk_deleted",
     "bm25_topk_compacted",
+    # every doc-range sharded twin (one per shared reducer family and
+    # partial kind; t_test_agg_sharded is listed above)
+    "bm25_topk_sharded", "collapse_topk_sharded", "lang_terms_agg_sharded",
+    "mget_docs_sharded", "lang_stats_agg_sharded", "cardinality_agg_sharded",
+    "percentiles_agg_sharded", "stats_agg_sharded", "range_agg_sharded",
+    "top_hits_agg_sharded", "sort_topk_sharded",
+    "function_score_topk_sharded", "rescore_topk_sharded",
+    "dis_max_topk_sharded", "boosting_topk_sharded", "ext_stats_agg_sharded",
+    "random_score_topk_sharded", "adjacency_matrix_sharded",
+    "pinned_topk_sharded", "constant_score_topk_sharded",
+    "rank_feature_topk_sharded", "mad_agg_sharded", "composite_agg_sharded",
+    "boxplot_agg_sharded", "filters_agg_sharded", "weighted_avg_agg_sharded",
+    "phrase_suggest_sharded", "distance_feature_topk_sharded",
 ]
 
 

@@ -84,7 +84,7 @@ def test_masked_query_hides_deleted_docs(ray_session):
     dead_set = set(int(x) for x in dead)
     q = generate_queries()
     engines = {s: QueryEngine(base, k=10, scorer=s)
-               for s in ("taat", "daat", "bmw")}
+               for s in ("taat", "bmw")}
     got_any = 0
     base_results = {}
     for query, lang in zip(q["query"].to_pylist(), q["lang"].to_pylist()):
@@ -95,7 +95,7 @@ def test_masked_query_hides_deleted_docs(ray_session):
         # no scorer returns a dead doc; all scorers agree exactly
         for s, res in per_scorer.items():
             assert not (dead_set & {d for d, _ in res}), (s, query)
-        assert per_scorer["taat"] == per_scorer["daat"] == per_scorer["bmw"]
+        assert per_scorer["taat"] == per_scorer["bmw"]
         got_any += bool(per_scorer["taat"])
         base_results[(query, lang)] = per_scorer["taat"]
     assert got_any > 0

@@ -53,7 +53,7 @@ def test_manifest_stats_match_oracle(index_dir, oracle):
     assert m["n_postings"] == sum(len(p) for p in oracle.postings.values())
 
 
-@pytest.mark.parametrize("scorer", ["taat", "daat", "bmw"])
+@pytest.mark.parametrize("scorer", ["taat", "bmw"])
 def test_scorer_oracle_parity(index_dir, oracle, scorer):
     """Rank-identical top-10 doc ids AND scores vs the oracle, every query."""
     engine = QueryEngine(index_dir, k=10, scorer=scorer)

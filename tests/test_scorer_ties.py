@@ -4,7 +4,7 @@ The driver's word-soup ``documents`` table produced massive score ties that
 exposed a block-max WAND pivot bug the code-shaped synthetic corpus missed
 (cursors sitting exactly at the pivot doc).  This test bakes that shape in:
 a tiny vocabulary so nearly every doc shares terms and exact score ties are
-everywhere, then checks taat == daat == bmw == oracle on many queries.
+everywhere, then checks taat == bmw == oracle on many queries.
 """
 
 import shutil
@@ -49,7 +49,7 @@ QUERIES = (
 )
 
 
-@pytest.mark.parametrize("scorer", ["daat", "bmw"])
+@pytest.mark.parametrize("scorer", ["bmw"])
 def test_scorers_match_taat_and_oracle(ties_setup, scorer):
     oracle = OracleIndex(ties_setup.to_pylist(), lang_tagged=False)
     base = QueryEngine(IDX, k=10, scorer="taat")
