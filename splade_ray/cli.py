@@ -499,6 +499,7 @@ def cmd_eval(args) -> int:
     import pyarrow as pa
     import pyarrow.csv as pacsv
 
+    import ray
     import ray.data as rd
 
     from .query import run_queries
@@ -517,8 +518,11 @@ def cmd_eval(args) -> int:
     if "lang" in qt.column_names:
         cols["lang"] = qt["lang"]
     queries = rd.from_arrow(pa.table(cols))
+    # the pool's num_cpus=1 actors must leave a CPU for the upstream
+    # repartition tasks: a pool as large as the session never starts
+    cpus = int(ray.cluster_resources().get("CPU", 1))
     res = run_queries(queries, args.index, k=args.k, scorer=args.scorer,
-                      concurrency=args.concurrency)
+                      concurrency=max(min(args.concurrency, cpus - 1), 1))
     if args.out.endswith(".csv"):
         import pandas as pd
 

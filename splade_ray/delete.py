@@ -344,8 +344,7 @@ def _compact_seg_batch(t: pa.Table, *, src_index: str, src_root: str,
         # against the same tombstones (compact_index's todo filter)
         builder.set_lineage(compacted_from=seg_id, n_tombstones=len(tomb),
                             tombstones_fp=row["tombstones_fp"])
-        d = reader.dict
-        for i in range(d.num_rows):
+        for i in range(reader.dict.num_rows):
             ids, tfs = reader.postings_at(i)
             # empty tomb => all-False mask: compacting a tombstone-free
             # index is a plain re-encode
@@ -360,7 +359,7 @@ def _compact_seg_batch(t: pa.Table, *, src_index: str, src_root: str,
                 # dead postings' slices drop
                 positions = take_slices(reader.positions_at(i, tfs), tfs,
                                         np.flatnonzero(~dead))
-            builder.add(d["term"][i].as_py(), d["salt"][i].as_py(),
+            builder.add(reader.term_at(i), int(reader.salt[i]),
                         new_ids, tfs_l, src_docs.gather_lens(live), avgdl,
                         positions=positions)
         m = builder.write(os.path.join(out_root, seg_id))

@@ -69,9 +69,8 @@ def index_stats(index_dir: str, terms: list[str]) -> tuple[int, float, dict]:
     for t in terms:
         df = 0
         for seg in readers:
-            col = seg.dict["df"]
             for ri in seg.term_rows(t):
-                df += col[ri].as_py()
+                df += int(seg.df[ri])
         if df:
             dfs[t] = df
     return int(man["n_docs"]), float(man["avgdl"]), dfs

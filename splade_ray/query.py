@@ -478,11 +478,9 @@ class QueryEngine:
         refs: list[tuple[int, int, int]] = []
         df = 0
         for si, seg in enumerate(self.segments):
-            salt_col = seg.dict["salt"]
-            df_col = seg.dict["df"]
             for ri in seg.term_rows(term):
-                refs.append((salt_col[ri].as_py(), si, ri))
-                df += df_col[ri].as_py()
+                refs.append((int(seg.salt[ri]), si, ri))
+                df += int(seg.df[ri])
         refs.sort()
         out = (refs, df)
         self._refs_memo[term] = out
@@ -814,7 +812,7 @@ class QueryEngine:
                        else range(0, len(seg._terms)))
                 row = run.start
                 while row < run.stop:
-                    term = seg._terms[row].as_py()[npre:]
+                    term = seg.term_at(row)[npre:]
                     nxt = aut.next_valid(term)
                     if nxt is None:
                         break
@@ -2394,10 +2392,10 @@ class TermSuggester:
                         f"prefix"
                     )
                 terms = seg._terms.slice(rows.start, width).to_pylist()
-                dfs = seg.dict["df"].slice(rows.start, width).to_pylist()
+                dfs = seg.df[rows.start : rows.stop].tolist()
                 for t, d in zip(terms, dfs):  # salted rows sum here too
                     t = t[strip:]
-                    acc[t] = acc.get(t, 0) + int(d)
+                    acc[t] = acc.get(t, 0) + d
         ranked = sorted(acc.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[: self.n]
 

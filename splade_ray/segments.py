@@ -18,6 +18,11 @@ shard whose manifest validates (build.py).  ``merge_segments`` is the
 log-structured merge: k segments -> one, posting lists of the same
 (term, salt) unioned by doc_id with duplicate (doc_id) entries collapsed
 (equal tf asserted), which makes merge idempotent: merge(a, a) == a.
+
+``SegmentReader`` never builds one Python object per dictionary row: term
+lookups bisect the term column's raw UTF-8 buffer (UTF-8 byte order equals
+``str`` order) and the other columns are read through numpy views, so
+opening a segment stays O(1) in Python objects.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import hashlib
 import json
 import os
 import shutil
+from functools import cached_property
 
 import numpy as np
 import pyarrow as pa
@@ -53,6 +59,31 @@ DICT_SCHEMA = pa.schema(
         ("block_max_tfsat", pa.list_(pa.float32())),
     ]
 )
+
+
+def _utf8(s: str) -> bytes:
+    # surrogatepass: a caller's key with a lone surrogate (no dictionary
+    # holds one) must miss, as a str compare would, not raise
+    return s.encode("utf-8", "surrogatepass")
+
+
+def _column_view(col: pa.ChunkedArray) -> np.ndarray:
+    """Read-only numpy view of a dictionary column (zero-copy for one
+    parquet row group; a multi-row-group column is concatenated once)."""
+    out = col.to_numpy()
+    out.flags.writeable = False
+    return out
+
+
+def _list_view(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of a list column: row ``i`` is
+    ``values[offsets[i]:offsets[i + 1]]``, both read-only."""
+    arr = col.combine_chunks()
+    offs = arr.offsets.to_numpy()
+    vals = arr.values.to_numpy()
+    offs.flags.writeable = False
+    vals.flags.writeable = False
+    return offs, vals
 
 
 class SegmentBuilder:
@@ -220,6 +251,17 @@ class SegmentReader:
     Query actors hold one per segment (reference analogue: the loaded Milvus
     index after ``collection.load()``, ingest.py:172 / ST3).  On shared
     storage at scale the mmap becomes ranged reads of the blob object.
+
+    Dictionary reads never build a per-row Python object.  Term lookups
+    (``term_rows``, ``prefix_rows``, ``seek_row``) share one bisect over the
+    term column's raw UTF-8 data buffer through its int32 offsets: UTF-8
+    byte order equals ``str`` code-point order and a ``str`` prefix is
+    exactly a bytes prefix, so the (term, salt) order the build writes is
+    searched as bytes.  ``salt``/``df``/``cf``/``nbytes`` are read-only
+    numpy views of their columns, and ``meta_at`` slices the four
+    ``block_*`` list columns' (offsets, values) arrays.  Every view is
+    built on first use and is zero-copy when the dictionary is one parquet
+    row group, so open stays O(1) in Python objects.
     """
 
     def __init__(self, seg_dir: str):
@@ -255,85 +297,110 @@ class SegmentReader:
                 if os.path.getsize(ppath) else np.empty(0, dtype=np.uint8))
             self._pos_offsets = self.dict["pos_offset"].to_numpy(
                 zero_copy_only=False)
-            self._pos_bnb_cache: dict[int, np.ndarray] = {}
 
-    def term_rows(self, term: str) -> range:
-        """Dict-row range for ``term`` (one row per salt), via binary search
-        over the sorted term column — O(log n) ``as_py`` calls, no index."""
-        col = self._terms
-        lo, hi = 0, len(col)
-        while lo < hi:  # leftmost
-            mid = (lo + hi) // 2
-            if col[mid].as_py() < term:
-                lo = mid + 1
-            else:
-                hi = mid
-        left = lo
-        hi = len(col)
-        while lo < hi:  # rightmost
-            mid = (lo + hi) // 2
-            if col[mid].as_py() <= term:
-                lo = mid + 1
-            else:
-                hi = mid
-        return range(left, lo)
+    # -- column views (built on first use) --------------------------------
+    @cached_property
+    def _term_bytes(self) -> tuple[memoryview, bytes]:
+        """(int32 offsets, UTF-8 data) of the term column: row ``i`` is
+        ``data[offs[i]:offs[i + 1]]``."""
+        arr = self._terms
+        _, offs, data = arr.buffers()
+        lo = 4 * arr.offset
+        return (memoryview(offs)[lo : lo + 4 * (len(arr) + 1)].cast("i"),
+                bytes(data))
 
-    def prefix_rows(self, prefix: str) -> range:
-        """Dict-row range of all terms STARTING WITH ``prefix`` (Lucene
-        PrefixQuery's dictionary scan; reference analogue: Milvus has no
-        prefix rewrite — this is native-index territory).  Same O(log n)
-        binary search as term_rows: terms are lex-sorted, so the matching
-        rows are one contiguous run [leftmost term >= prefix, leftmost term
-        whose ``prefix``-length head sorts after ``prefix``).  A row whose
-        term t satisfies t >= prefix AND t[:len(prefix)] <= prefix has
-        t[:len(prefix)] == prefix exactly."""
-        col = self._terms
-        p = len(prefix)
-        lo, hi = 0, len(col)
-        while lo < hi:  # leftmost term >= prefix
-            mid = (lo + hi) // 2
-            if col[mid].as_py() < prefix:
-                lo = mid + 1
-            else:
-                hi = mid
-        left = lo
-        hi = len(col)
-        while lo < hi:  # leftmost term whose head sorts after prefix
-            mid = (lo + hi) // 2
-            if col[mid].as_py()[:p] <= prefix:
-                lo = mid + 1
-            else:
-                hi = mid
-        return range(left, lo)
+    @cached_property
+    def salt(self) -> np.ndarray:
+        return _column_view(self.dict["salt"])
 
-    def seek_row(self, key: str, lo: int = 0, hi: int | None = None) -> int:
-        """Leftmost dict row in [lo, hi) whose term >= ``key`` (binary
-        search over the sorted term column) — the dictionary-seek primitive
-        the Levenshtein-automaton intersection leap-frogs with."""
-        col = self._terms
-        if hi is None:
-            hi = len(col)
+    @cached_property
+    def df(self) -> np.ndarray:
+        return _column_view(self.dict["df"])
+
+    @cached_property
+    def cf(self) -> np.ndarray:
+        return _column_view(self.dict["cf"])
+
+    @cached_property
+    def nbytes(self) -> np.ndarray:
+        return _column_view(self.dict["nbytes"])
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(offsets, values) of block_count / block_nbytes /
+        block_last_docid / block_max_tfsat."""
+        return tuple(_list_view(self.dict[c]) for c in (
+            "block_count", "block_nbytes", "block_last_docid",
+            "block_max_tfsat"))
+
+    # -- dictionary lookups -----------------------------------------------
+    def _bisect(self, key: bytes, lo: int, hi: int, head: bool = False) -> int:
+        """Leftmost row in [lo, hi) whose term sorts at or after ``key``
+        (``head=True``: whose ``len(key)``-byte head sorts after ``key``).
+        Compares raw UTF-8 bytes, which order exactly like ``str``."""
+        offs, data = self._term_bytes
+        p = len(key)
         while lo < hi:
             mid = (lo + hi) // 2
-            if col[mid].as_py() < key:
+            a = offs[mid]
+            b = offs[mid + 1]
+            if head:
+                below = data[a : min(b, a + p)] <= key
+            else:
+                below = data[a:b] < key
+            if below:
                 lo = mid + 1
             else:
                 hi = mid
         return lo
 
+    def term_at(self, i: int) -> str:
+        """Row ``i``'s term, decoded from the raw buffer."""
+        offs, data = self._term_bytes
+        return data[offs[i] : offs[i + 1]].decode()
+
+    def term_rows(self, term: str) -> range:
+        """Dict-row range for ``term`` (one row per salt): a leftmost bisect,
+        then an equality scan over the term's few salted rows."""
+        key = _utf8(term)
+        offs, data = self._term_bytes
+        n = len(self._terms)
+        left = stop = self._bisect(key, 0, n)
+        while stop < n and data[offs[stop] : offs[stop + 1]] == key:
+            stop += 1
+        return range(left, stop)
+
+    def prefix_rows(self, prefix: str) -> range:
+        """Dict-row range of all terms STARTING WITH ``prefix`` (Lucene
+        PrefixQuery's dictionary scan; reference analogue: Milvus has no
+        prefix rewrite — this is native-index territory).  Terms are
+        lex-sorted, so the matching rows are one contiguous run [leftmost
+        term >= prefix, leftmost term whose ``prefix``-length head sorts
+        after ``prefix``).  A row whose term t satisfies t >= prefix AND
+        t[:len(prefix)] <= prefix has t[:len(prefix)] == prefix exactly."""
+        key = _utf8(prefix)
+        n = len(self._terms)
+        left = self._bisect(key, 0, n)
+        return range(left, self._bisect(key, left, n, head=True))
+
+    def seek_row(self, key: str, lo: int = 0, hi: int | None = None) -> int:
+        """Leftmost dict row in [lo, hi) whose term >= ``key`` — the
+        dictionary-seek primitive the Levenshtein-automaton intersection
+        leap-frogs with."""
+        return self._bisect(_utf8(key), lo,
+                            len(self._terms) if hi is None else hi)
+
     def meta_at(self, i: int) -> PostingMeta:
         cached = self._meta_cache.get(i)
         if cached is not None:
             return cached
-        d = self.dict
+        count, nbytes, last, tfsat = (v[o[i] : o[i + 1]]
+                                      for o, v in self._blocks)
         meta = PostingMeta(
-            df=d["df"][i].as_py(),
-            cf=d["cf"][i].as_py(),
-            nbytes=d["nbytes"][i].as_py(),
-            block_count=np.asarray(d["block_count"][i].as_py(), dtype=np.int32),
-            block_nbytes=np.asarray(d["block_nbytes"][i].as_py(), dtype=np.int32),
-            block_last_docid=np.asarray(d["block_last_docid"][i].as_py(), dtype=np.int64),
-            block_max_tfsat=np.asarray(d["block_max_tfsat"][i].as_py(), dtype=np.float32),
+            df=int(self.df[i]), cf=int(self.cf[i]),
+            nbytes=int(self.nbytes[i]), block_count=count,
+            block_nbytes=nbytes, block_last_docid=last,
+            block_max_tfsat=tfsat,
         )
         self._meta_cache[i] = meta
         return meta
@@ -343,13 +410,13 @@ class SegmentReader:
         off = int(self._offsets[i])
         return decode_postings(self.blob[off : off + meta.nbytes], meta)
 
-    def pos_block_nbytes_at(self, i: int) -> np.ndarray:
-        cached = self._pos_bnb_cache.get(i)
-        if cached is None:
-            cached = np.asarray(self.dict["block_pos_nbytes"][i].as_py(),
-                                dtype=np.int32)
-            self._pos_bnb_cache[i] = cached
-        return cached
+    @cached_property
+    def _pos_nbytes(self) -> np.ndarray:
+        return _column_view(self.dict["pos_nbytes"])
+
+    @cached_property
+    def _pos_block_nbytes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _list_view(self.dict["block_pos_nbytes"])
 
     def positions_range(self, i: int, tfs: np.ndarray,
                         b_lo: int, b_hi: int) -> np.ndarray:
@@ -358,9 +425,10 @@ class SegmentReader:
         (they carry the per-posting counts)."""
         if not self.has_positions:
             raise ValueError(f"segment {self.dir} has no positional sidecar")
-        bnb = self.pos_block_nbytes_at(i)
+        o, v = self._pos_block_nbytes
+        bnb = v[o[i] : o[i + 1]]
         off = int(self._pos_offsets[i])
-        nbytes = int(self.dict["pos_nbytes"][i].as_py())
+        nbytes = int(self._pos_nbytes[i])
         return decode_positions_range(
             self.pos_blob[off : off + nbytes], bnb, tfs, b_lo, b_hi)
 
@@ -398,22 +466,23 @@ def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
             "cannot merge positional and non-positional segments; "
             "rebuild the non-positional inputs with positions=True"
         )
-    keys: set[tuple[str, int]] = set()
-    for r in readers:
-        for t, s in zip(r.dict["term"].to_pylist(), r.dict["salt"].to_pylist()):
-            keys.add((t, s))
+    # (term, salt) -> [(reader, row)], readers in input order
+    rows: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for ri, r in enumerate(readers):
+        keys = zip(r.dict["term"].to_pylist(), r.salt.tolist())
+        for i, key in enumerate(keys):
+            rows.setdefault(key, []).append((ri, i))
     builder = SegmentBuilder(segment_id, shard, with_positions=with_pos)
     builder.set_lineage(merged_from=[os.path.basename(d) for d in seg_dirs])
-    for term, salt in sorted(keys):
+    for term, salt in sorted(rows):
         parts = []
-        for ri, r in enumerate(readers):
-            for i in r.term_rows(term):
-                if r.dict["salt"][i].as_py() == salt:
-                    ids, tfs_p = r.postings_at(i)
-                    pos_p = r.positions_at(i, tfs_p) if with_pos else None
-                    if id_maps is not None:
-                        ids = np.searchsorted(new_map, id_maps[ri][ids])
-                    parts.append((ids, tfs_p, pos_p))
+        for ri, i in rows[(term, salt)]:
+            r = readers[ri]
+            ids, tfs_p = r.postings_at(i)
+            pos_p = r.positions_at(i, tfs_p) if with_pos else None
+            if id_maps is not None:
+                ids = np.searchsorted(new_map, id_maps[ri][ids])
+            parts.append((ids, tfs_p, pos_p))
         ids = np.concatenate([p[0] for p in parts])
         tfs = np.concatenate([p[1] for p in parts])
         order = np.argsort(ids, kind="stable")

@@ -1432,13 +1432,14 @@ def filters_agg_sql(queries: list[tuple[int, str]],
                     buckets: list[tuple[str, str]]) -> str:
     """Filters-agg oracle (pipelines.filters_agg replay; ES ``filters``
     agg): each named bucket's filter query becomes a synthetic query id
-    (offset 1000) through the shared ranked chain; a cell is the
-    main-hit-set ∩ bucket-hit-set size, zero-count cells omitted (the
-    engine's emission rule)."""
-    synth = list(queries) + [(1000 + i, fq)
+    (numbered on from the largest main query id) through the shared ranked
+    chain; a cell is the main-hit-set ∩ bucket-hit-set size, zero-count
+    cells omitted (the engine's emission rule)."""
+    base = max((int(q) for q, _ in queries), default=-1) + 1
+    synth = list(queries) + [(base + i, fq)
                              for i, (_, fq) in enumerate(buckets)]
     rows = ",".join(
-        f"({1000 + i}, '" + nm.replace("'", "''") + "')"
+        f"({base + i}, '" + nm.replace("'", "''") + "')"
         for i, (nm, _) in enumerate(buckets)
     )
     lit = f"bucket_lit(bq_id, bucket) AS (SELECT * FROM (VALUES {rows}))"
@@ -1452,7 +1453,7 @@ def filters_agg_sql(queries: list[tuple[int, str]],
 , hits AS (SELECT query_id, doc_id FROM scores WHERE units > 0)
 SELECT m.query_id, l.bucket, CAST(count(*) AS BIGINT) AS n_hits
 FROM hits m
-JOIN hits b ON b.doc_id = m.doc_id AND b.query_id >= 1000
+JOIN hits b ON b.doc_id = m.doc_id AND b.query_id >= {base}
 JOIN bucket_lit l ON l.bq_id = b.query_id
 WHERE m.query_id IN ({main_ids})
 GROUP BY m.query_id, l.bucket"""

@@ -67,3 +67,34 @@ def test_suggest_phrase_refuses_candidate_explosion(tmp_path):
     stub = _Stub()
     with _pytest.raises(ValueError, match="4096"):
         QueryEngine.suggest_phrase(stub, "a b c d e", None)
+
+
+def test_filters_agg_sql_bucket_ids_clear_main_query_ids():
+    """The filters-agg oracle numbers its bucket filter queries past the
+    largest main query id, so a main query id >= 1000 neither collides with
+    a bucket nor is mistaken for one."""
+    import duckdb
+    import pyarrow as pa
+
+    from splade_ray.analyzer import tokens_py
+    from splade_ray.sql import filters_agg_sql
+
+    texts = ["alpha beta", "alpha gamma", "beta gamma", "gamma delta",
+             "alpha delta", "epsilon"]
+    docs = pa.table({"doc_id": list(range(len(texts))),
+                     "source": ["s"] * len(texts),
+                     "lang": ["python"] * len(texts), "text": texts})
+    queries = [(7, "beta"), (1000, "alpha"), (1001, "epsilon")]
+    buckets = [("g", "gamma"), ("d", "delta")]
+
+    def hits(q):
+        qt = set(tokens_py(q))
+        return {i for i, t in enumerate(texts) if qt & set(tokens_py(t))}
+
+    want = sorted((qid, nm, len(hits(q) & hits(fq)))
+                  for qid, q in queries for nm, fq in buckets
+                  if hits(q) & hits(fq))
+    con = duckdb.connect()
+    con.register("documents", docs)
+    got = sorted(con.sql(filters_agg_sql(queries, buckets)).fetchall())
+    assert got == want
