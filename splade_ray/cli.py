@@ -386,10 +386,14 @@ def cmd_phrase(args) -> int:
     docs.  No content fetch — everything comes from the posting sidecar."""
     import math
 
+    from .alias import resolve_index
     from .analyzer import tokens_py
     from .build import SCORE_SCALE
     from .phrase import index_stats, positional_units
 
+    # resolve an alias ONCE: the manifest read, the df lookup and the
+    # positional fan-out must all see the same generation
+    index = resolve_index(args.index)
     _ensure_ray()
     if getattr(args, "multi", False):
         # MultiPhraseQuery: TEXT positions separated by whitespace, each
@@ -466,7 +470,7 @@ def cmd_phrase(args) -> int:
 
     from .phrase import tag_spec
 
-    with open(os.path.join(args.index, "MANIFEST.json")) as f:
+    with open(os.path.join(index, "MANIFEST.json")) as f:
         man = _json.load(f)
     if man.get("lang_tagged"):
         from .analyzer import LANG_SEP
@@ -477,11 +481,11 @@ def cmd_phrase(args) -> int:
                for lg in lgs for t, c in qtf.items()}
     else:
         specs = [spec]
-    n_docs, _avgdl, dfs = index_stats(args.index, sorted(qtf))
+    n_docs, _avgdl, dfs = index_stats(index, sorted(qtf))
     weights = {0: [
         (t, c * math.log(1.0 + (n_docs - dfs[t] + 0.5) / (dfs[t] + 0.5)))
         for t, c in qtf.items() if t in dfs]}
-    res = (positional_units(args.index, specs, weights)
+    res = (positional_units(index, specs, weights)
            .groupby(["query_id", "doc_id"]).sum("units").to_pandas())
     if res.empty:
         print("no results")

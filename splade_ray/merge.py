@@ -23,6 +23,7 @@ Semantics:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -35,7 +36,8 @@ from .segments import merge_segments, validate_segment
 
 
 def _merge_shard_batch(t: pa.Table, *, out_dir: str, avgdl: float,
-                       map_refs, new_map_ref, doclens_ref) -> pa.Table:
+                       map_refs, new_map_ref, doclens_ref,
+                       sources_fp: str) -> pa.Table:
     import ray
 
     id_maps_all = [ray.get(r) for r in map_refs]
@@ -54,7 +56,8 @@ def _merge_shard_batch(t: pa.Table, *, out_dir: str, avgdl: float,
         id_maps = [m for _, m in pairs]
         seg_out = os.path.join(out_dir, "segments", f"seg-{shard:05d}")
         m = merge_segments(seg_dirs, seg_out, f"seg-{shard:05d}", shard, avgdl,
-                           doclens, id_maps=id_maps, new_map=new_map)
+                           doclens, id_maps=id_maps, new_map=new_map,
+                           lineage={"sources_fp": sources_fp})
         out["shard"].append(shard)
         out["n_terms"].append(m["n_terms"])
         out["n_postings"].append(m["n_postings"])
@@ -90,10 +93,15 @@ def add_generation(base_index: str, corpus_ds, out_dir: str,
 
 def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
     """Merge several built indexes (disjoint doc sets) into ``out_dir``."""
-    manifests = []
+    raws = []
     for d in index_dirs:
-        with open(os.path.join(d, "MANIFEST.json")) as f:
-            manifests.append(json.load(f))
+        with open(os.path.join(d, "MANIFEST.json"), "rb") as f:
+            raws.append(f.read())
+    manifests = [json.loads(r) for r in raws]
+    # identity of the inputs: a segment in a reused out_dir resumes only if
+    # it was merged from these very manifests (every output segment depends
+    # on all inputs through the merged ordinal space)
+    sources_fp = hashlib.sha256(b"\0".join(raws)).hexdigest()
     base = manifests[0]
     for m in manifests[1:]:
         if m["n_shards"] != base["n_shards"]:
@@ -172,8 +180,10 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
     todo = []
     for s in range(n_shards):
         seg_out = os.path.join(out_dir, "segments", f"seg-{s:05d}")
-        if validate_segment(seg_out) is not None:
-            continue  # resume: already merged
+        m = validate_segment(seg_out)
+        if (m is not None
+                and m.get("lineage", {}).get("sources_fp") == sources_fp):
+            continue  # resume: already merged from the same inputs
         todo.append(
             {
                 "shard": s,
@@ -190,7 +200,8 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
                 _merge_shard_batch, batch_format="pyarrow", batch_size=1,
                 fn_kwargs={"out_dir": out_dir, "avgdl": avgdl,
                            "map_refs": map_refs, "new_map_ref": new_map_ref,
-                           "doclens_ref": doclens_ref},
+                           "doclens_ref": doclens_ref,
+                           "sources_fp": sources_fp},
             )
             .count()
         )

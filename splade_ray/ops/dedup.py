@@ -390,7 +390,7 @@ def _ordered_pairs_batch(t: pa.Table, left: str, right: str) -> pa.Table:
 
 
 def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                      num_partitions: int = 16, hash_mode: str = "sha"):
+                      num_partitions: int = 8, hash_mode: str = "sha"):
     """Distinct candidate pairs (doc_a < doc_b) sharing any LSH band bucket.
 
     Pair generation is a hash-partitioned SELF-JOIN on (band, band_key) —
@@ -547,7 +547,7 @@ def _salt_shingles_right(t: pa.Table, *, hot: pa.Array, n_salts: int) -> pa.Tabl
 
 def ngram_jaccard_pairs(ds, threshold: float = 0.8,
                         text_col: str = "text", id_col: str = "doc_id",
-                        num_partitions: int = 16,
+                        num_partitions: int = 8,
                         salt_threshold: int = 512, n_salts: int = 8):
     """Exact token-shingle Jaccard >= threshold pairs (doc_a < doc_b).
 

@@ -52,27 +52,20 @@ import numpy as np
 import pyarrow as pa
 
 from .docmap import sorted_member
-from .segments import SegmentReader
 
 
 def index_stats(index_dir: str, terms: list[str]) -> tuple[int, float, dict]:
     """(n_docs, avgdl, {term: df}) with df > 0 only — n_docs/avgdl straight
     from MANIFEST.json, df summed over the segment dictionaries (salted
     sub-lists of a hot term each carry their own df; the sum is the
-    corpus-wide document frequency, identical to the SQL DF_CTE)."""
-    with open(os.path.join(index_dir, "MANIFEST.json")) as f:
-        man = json.load(f)
-    seg_root = os.path.join(index_dir, "segments")
-    readers = [SegmentReader(os.path.join(seg_root, s["segment_id"]))
-               for s in man["segments"]]
-    dfs: dict[str, int] = {}
-    for t in terms:
-        df = 0
-        for seg in readers:
-            for ri in seg.term_rows(t):
-                df += int(seg.df[ri])
-        if df:
-            dfs[t] = df
+    corpus-wide document frequency, identical to the SQL DF_CTE).
+    ``index_dir`` may be an alias; the lookups go through the generation's
+    shared ``query._IndexCore``, so repeated calls re-read nothing."""
+    from .query import _IndexCore
+
+    core = _IndexCore.open(index_dir)
+    man = core.manifest
+    dfs = {t: df for t in terms if (df := core.term_refs(t)[1])}
     return int(man["n_docs"]), float(man["avgdl"]), dfs
 
 

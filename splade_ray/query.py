@@ -8,8 +8,9 @@ the per-process BM25 refit (main.py:46-64, eval.py:92-109) — with a
     results = queries_ds.map_batches(QueryEngine, fn_constructor_kwargs=
         {"index_dir": ...}, batch_format="pyarrow", concurrency=N, batch_size=B)
 
-State (dictionary, mmapped postings, corpus stats) loads ONCE per actor in
-``__init__`` (the ST1/ST3 state of SURVEY.md §2.3); per-batch work is pure
+State (dictionary, mmapped postings, corpus stats) loads ONCE per index
+generation per process (``_IndexCore``, the ST1/ST3 state of SURVEY.md
+§2.3) and is shared by every engine on it; per-batch work is pure
 scoring.  Corpus stats come from the build manifest — never refit at query
 time (the reference's per-process refit is a documented wart, SURVEY §2.1 S7).
 
@@ -36,6 +37,8 @@ import json
 import math
 import os
 import re
+import threading
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -277,8 +280,148 @@ def idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
+class _Caches:
+    """Decoded-postings caches of one ``(core, ord_range, budget)`` bundle:
+    ``full`` term -> (ids, tfs, dls), ``units`` term -> qtf=1 (ids, units),
+    ``blocks`` (segment, row) -> {block: (ids, sat)}.  ONE counter charges
+    all three, so the engines sharing the bundle never cache more than
+    ``budget`` postings together.  Every entry is tombstone-independent
+    (scorers mask dead docs after the lookup), so engines opened with
+    different tombstone sets share it; a range engine caches only in-range
+    postings, hence ``ord_range`` in the bundle key."""
+
+    def __init__(self, core: "_IndexCore", budget: int):
+        self.core = core  # holding a bundle keeps its core alive
+        self.budget = budget
+        self.full: dict[str, tuple] = {}
+        self.units: dict[str, tuple] = {}
+        self.blocks: dict[tuple, dict] = {}
+        self.n = 0
+        # engines in different threads may share the bundle
+        self._lock = threading.Lock()
+
+    def admit(self, n: int) -> bool:
+        """Charge ``n`` postings if they fit the budget."""
+        with self._lock:
+            if self.budget > 0 and self.n + n <= self.budget:
+                self.n += n
+                return True
+            return False
+
+
+class _IndexCore:
+    """What one index GENERATION fixes, shared by every engine (and
+    ``TermSuggester``/``phrase.index_stats``) that opens it in the process:
+    the resolved dir, the manifest, the segment readers, the doc arrays,
+    the term-lookup memo and the ``_Caches`` bundles.  Segments, docmap and
+    MANIFEST never change within a generation (``delete_docs`` writes only
+    tombstones, which each engine reads on open), so a refresh reuses all
+    of it — Lucene's ``DirectoryReader.openIfChanged``.
+
+    Key: the realpath of the dir plus ``MANIFEST.json``'s (st_dev, st_ino,
+    st_mtime_ns, st_size) and the sha256 of its bytes (which cover every
+    segment's ``postings_sha256``), so a rebuild, compaction or merge into
+    a reused dir always opens a new core.
+
+    Lifetime: live cores and bundles sit in weak registries; one strong
+    slot holds the most recently opened one (a bundle holds its core),
+    because callers usually drop the old engine before opening the next.
+    So at most ONE core, with at most one bundle, outlives its engines in
+    a process — also in a pooled Ray worker, where it stays resident until
+    the worker opens another index generation or exits."""
+
+    _live: "weakref.WeakValueDictionary[tuple, _IndexCore]" = (
+        weakref.WeakValueDictionary())
+    _last: "_IndexCore | _Caches | None" = None  # the strong slot
+
+    def __init__(self, index_dir: str, manifest: dict):
+        self.dir = index_dir
+        self.manifest = manifest
+        # a manifest without doc_ordinals is a pre-v3 index: postings would
+        # misdecode (dl gone from the posting stream) — refuse it loudly
+        # rather than crash later
+        if not manifest.get("doc_ordinals"):
+            raise ValueError(
+                f"index at {index_dir} predates the ordinal-postings format "
+                f"(manifest lacks doc_ordinals); rebuild required"
+            )
+        from .docmap import open_doc_arrays
+
+        # ordinal -> real doc id translation (memmap-backed, flat or
+        # per-range-sharded layout): O(1) in corpus size, and a range
+        # engine only pages in the shards overlapping its slice
+        self.docs = open_doc_arrays(index_dir)
+        seg_root = os.path.join(index_dir, "segments")
+        self.segments = [
+            SegmentReader(os.path.join(seg_root, s["segment_id"]))
+            for s in manifest["segments"]
+        ]
+        # term lookups are LAZY (term_refs): open is O(1) in vocabulary size
+        self._refs: dict[str, tuple[list[tuple[int, int, int]], int]] = {}
+        self._bundles: "weakref.WeakValueDictionary[tuple, _Caches]" = (
+            weakref.WeakValueDictionary())
+
+    @classmethod
+    def open(cls, index_dir: str) -> "_IndexCore":
+        """The core of the generation ``index_dir`` (dir or alias) holds
+        now: one MANIFEST read, a stat and a sha256 on a hit."""
+        from .alias import resolve_index
+
+        index_dir = resolve_index(index_dir)
+        with open(os.path.join(index_dir, "MANIFEST.json"), "rb") as f:
+            st = os.fstat(f.fileno())
+            raw = f.read()
+        key = (os.path.realpath(index_dir), st.st_dev, st.st_ino,
+               st.st_mtime_ns, st.st_size, hashlib.sha256(raw).digest())
+        core = cls._live.get(key)
+        if core is None:
+            core = cls._live[key] = cls(index_dir, json.loads(raw))
+        last = _IndexCore._last
+        if last is not core and getattr(last, "core", None) is not core:
+            # a bundle of this core already in the slot stays there: the
+            # engine about to ask for it is the refresh it is kept for
+            _IndexCore._last = core
+        return core
+
+    def term_refs(self, term: str) -> tuple[list[tuple[int, int, int]], int]:
+        """((salt, segment_idx, row_idx) list sorted by salt, summed df):
+        one binary search per segment dictionary, memoized per core.
+
+        Salt order matters: within one build generation a hot term's salted
+        sub-lists cover disjoint ascending ordinal ranges, so salt-order
+        concatenation is already doc-sorted (merged indexes may overlap and
+        fall back to a sort in _gather).  Empty list <=> term absent."""
+        hit = self._refs.get(term)
+        if hit is not None:
+            return hit
+        refs: list[tuple[int, int, int]] = []
+        df = 0
+        for si, seg in enumerate(self.segments):
+            for ri in seg.term_rows(term):
+                refs.append((int(seg.salt[ri]), si, ri))
+                df += int(seg.df[ri])
+        refs.sort()
+        out = (refs, df)
+        self._refs[term] = out
+        return out
+
+    def caches(self, ord_range: "tuple[int, int] | None",
+               budget: int) -> _Caches:
+        """The shared cache bundle for ``(ord_range, budget)``."""
+        key = (ord_range, budget)
+        bundle = self._bundles.get(key)
+        if bundle is None:
+            bundle = self._bundles[key] = _Caches(self, budget)
+        _IndexCore._last = bundle
+        return bundle
+
+
 class QueryEngine:
-    """Callable-class stage: one instance per pool actor, init once per actor."""
+    """Callable-class stage: one instance per pool actor, init once per actor.
+
+    Engines on one index generation share its ``_IndexCore`` (segment
+    readers, doc arrays, term-lookup memo, postings caches); the tombstone
+    set and every keyword option are per engine."""
 
     def __init__(self, index_dir: str, k: int = 10, scorer: str = "taat",
                  cache_postings_budget: int = 32_000_000,
@@ -307,12 +450,15 @@ class QueryEngine:
                  phrase_cand_n: int = 8,
                  aux_index_dir: "str | None" = None,
                  df_origin: int = 64):
-        """``cache_postings_budget``: max cached decoded postings per actor
-        (~16 bytes each).  Admission-without-eviction: once full, new terms
-        are simply not cached — plain LRU degenerates on the cyclic access
-        pattern of a repeated query workload (evicts exactly what the next
-        round needs).  This is the reference's ``collection.load()`` index
-        residency (ST3) scoped to an actor's memory budget; 0 disables.
+        """``cache_postings_budget``: max cached decoded postings (~16
+        bytes each) held by all engines that share one cache bundle — every
+        engine in the process on the same index generation, ``ord_range``
+        and budget (see ``_IndexCore``).  Admission-without-eviction: once
+        full, new terms are simply not cached — plain LRU degenerates on
+        the cyclic access pattern of a repeated query workload (evicts
+        exactly what the next round needs).  This is the reference's
+        ``collection.load()`` index residency (ST3) scoped to an actor's
+        memory budget; 0 disables.
 
         ``ord_range=(lo, hi)`` restricts this engine to doc ORDINALS in
         [lo, hi) — the doc-partitioned query fan-out (SURVEY §2.4 A4, the
@@ -327,19 +473,17 @@ class QueryEngine:
         ``index_dir`` may be an ALIAS file (alias.resolve_index) —
         resolved once here, so a blue-green swap takes effect for newly
         constructed actor pools while in-flight actors keep serving the
-        generation they opened (the ES search-context semantics)."""
-        from .alias import resolve_index
+        generation they opened (the ES search-context semantics).
 
-        index_dir = resolve_index(index_dir)
-        with open(os.path.join(index_dir, "MANIFEST.json")) as f:
-            self.manifest = json.load(f)
-        self._cache: dict[str, tuple] = {}
-        self._cache_budget = cache_postings_budget
-        self._ucache: dict[str, tuple] = {}  # per-term qtf=1 unit vectors
-        self._bcache: dict[tuple, dict] = {}  # (seg, row) -> {block: (ids, sat)}
-        # ONE counter charges all three caches against the budget, so an
-        # actor's cached postings never exceed ``cache_postings_budget`` total
-        self._cached_n = 0
+        Open cost: the MANIFEST read, the ``_IndexCore`` lookup (segment
+        readers, doc arrays, term-lookup memo and postings caches are
+        built once per generation and shared) and the tombstone read.
+        Tombstones are read on EVERY open, so a new engine after
+        ``delete_docs`` sees the deletes while an older engine keeps the
+        tombstone set it opened with; neither changes the shared core."""
+        core = _IndexCore.open(index_dir)
+        self._core = core
+        self.manifest = core.manifest
         self.n_docs = self.manifest["n_docs"]
         self.avgdl = self.manifest["avgdl"]
         self.langs = self.manifest["langs"]
@@ -424,31 +568,13 @@ class QueryEngine:
             if not (0 <= lo < hi <= self.n_docs):
                 raise ValueError(f"ord_range {ord_range!r} outside [0, {self.n_docs}]")
             self.ord_range = (lo, hi)
-        # ordinal -> real doc id translation (docmap.open_doc_arrays:
-        # memmap-backed, flat or per-range-sharded layout); actor startup
-        # stays O(1) in corpus size, and a range-restricted engine only
-        # pages in the shards overlapping its slice.  A manifest without
-        # doc_ordinals is a pre-v3 index: postings would misdecode (dl gone
-        # from the posting stream) — refuse it loudly rather than crash later.
-        if not self.manifest.get("doc_ordinals"):
-            raise ValueError(
-                f"index at {index_dir} predates the ordinal-postings format "
-                f"(manifest lacks doc_ordinals); rebuild required"
-            )
-        from .docmap import open_doc_arrays
-
-        self.docs = open_doc_arrays(index_dir)
-        seg_root = os.path.join(index_dir, "segments")
-        self.segments = [
-            SegmentReader(os.path.join(seg_root, s["segment_id"]))
-            for s in self.manifest["segments"]
-        ]
-        # term lookups are LAZY: each query term binary-searches every
-        # segment's sorted dictionary once, memoized per actor.  Engine
-        # startup is therefore O(1) in vocabulary size — at a 10^12-doc
-        # dictionary an actor comes up as fast as at 10^5 (the old eager
-        # merge built a Python dict over the whole vocabulary per actor).
-        self._refs_memo: dict[str, tuple[list[tuple[int, int, int]], int]] = {}
+        # ordinal -> real doc id translation and the segment readers come
+        # from the generation's core; the caches from its bundle for this
+        # (ord_range, budget) — opened after ``aux`` so the process's strong
+        # slot keeps THIS engine's bundle
+        self.docs = core.docs
+        self.segments = core.segments
+        self._caches = core.caches(self.ord_range, cache_postings_budget)
         # dense TAAT path available when postings are ordinals and one
         # bincount over N is affordable
         self._dense_ok = self.n_docs <= 50_000_000
@@ -461,30 +587,12 @@ class QueryEngine:
         # range scoping happens inside tombstone_ordinals: under the
         # sharded tombstone layout only the shard files overlapping this
         # engine's ordinal slice are ever read
-        self.tomb = tombstone_ordinals(index_dir, self.docs,
+        self.tomb = tombstone_ordinals(core.dir, self.docs,
                                        ord_range=self.ord_range)
 
     # ------------------------------------------------------------- lookup --
     def _term_refs(self, term: str) -> tuple[list[tuple[int, int, int]], int]:
-        """((salt, segment_idx, row_idx) list sorted by salt, summed df).
-
-        Salt order matters: within one build generation a hot term's salted
-        sub-lists cover disjoint ascending ordinal ranges, so salt-order
-        concatenation is already doc-sorted (merged indexes may overlap and
-        fall back to a sort in _gather).  Empty list <=> term absent."""
-        hit = self._refs_memo.get(term)
-        if hit is not None:
-            return hit
-        refs: list[tuple[int, int, int]] = []
-        df = 0
-        for si, seg in enumerate(self.segments):
-            for ri in seg.term_rows(term):
-                refs.append((int(seg.salt[ri]), si, ri))
-                df += int(seg.df[ri])
-        refs.sort()
-        out = (refs, df)
-        self._refs_memo[term] = out
-        return out
+        return self._core.term_refs(term)
 
     # ------------------------------------------------------------- gather --
     def _gather(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -493,7 +601,7 @@ class QueryEngine:
         All the term's pieces are decoded in one batched varbyte pass
         (codecs.decode_postings_many) — the per-piece call overhead dominates
         otherwise once hot-term salting and lang expansion multiply pieces."""
-        cached = self._cache.get(term)
+        cached = self._caches.full.get(term)
         if cached is not None:
             return cached
         if self.ord_range is not None:
@@ -510,10 +618,8 @@ class QueryEngine:
                 order = np.argsort(ids, kind="stable")
                 ids, tfs = ids[order], tfs[order]
         dls = self.docs.gather_lens(ids)  # O(1) forward-array gather
-        if (self._cache_budget > 0
-                and self._cached_n + len(ids) <= self._cache_budget):
-            self._cache[term] = (ids, tfs, dls)
-            self._cached_n += len(ids)
+        if self._caches.admit(len(ids)):
+            self._caches.full[term] = (ids, tfs, dls)
         return ids, tfs, dls
 
     def _gather_range(self, term: str) -> tuple[np.ndarray, np.ndarray]:
@@ -2016,16 +2122,13 @@ class QueryEngine:
         the quantization spec round((qtf*idf)*sat*1e9) holds exactly."""
         w = idf(self.n_docs, self._term_refs(term)[1])
         if qtf == 1:
-            hit = self._ucache.get(term)
+            hit = self._caches.units.get(term)
             if hit is not None:
                 return hit
         ids, tfs, dls = self._gather(term)
         units = self._contrib_units(qtf, w, tfs, dls)
-        if qtf == 1 and self._cache_budget > 0 and (
-            self._cached_n + len(ids) <= self._cache_budget
-        ):
-            self._ucache[term] = (ids, units)
-            self._cached_n += len(ids)
+        if qtf == 1 and self._caches.admit(len(ids)):
+            self._caches.units[term] = (ids, units)
         return ids, units
 
     def _mask_dead(self, ids: np.ndarray,
@@ -2135,7 +2238,7 @@ class QueryEngine:
                     # the cache persists across queries (warm path skips the
                     # decode entirely); the budgeted overlay spills to a
                     # per-call dict once the shared budget is full
-                    "cache": self._bcache.setdefault((si, ri), {}),
+                    "cache": self._caches.blocks.setdefault((si, ri), {}),
                     "overlay": {},
                 })
         if not pieces:
@@ -2198,10 +2301,8 @@ class QueryEngine:
                 for bi, (i_a, s_a) in enumerate(
                     zip(np.split(ids, splits), np.split(sat, splits))
                 ):
-                    if (self._cache_budget > 0 and self._cached_n
-                            + len(i_a) <= self._cache_budget):
+                    if self._caches.admit(len(i_a)):
                         p["cache"][f + bi] = (i_a, s_a)
-                        self._cached_n += len(i_a)
                     else:
                         p["overlay"][f + bi] = (i_a, s_a)
 
@@ -2337,8 +2438,9 @@ class TermSuggester:
     frequency (Elasticsearch completion/term-suggester analogue, served
     ENTIRELY from the sorted term dictionary — postings never touched).
 
-    Init loads only manifest + dictionaries (no docmap, no tombstones):
-    df is the FROZEN build-time document frequency (Lucene semantics —
+    Init takes the manifest and dictionaries from the generation's shared
+    ``_IndexCore`` (no tombstones; ``index_dir`` may be an alias): df is
+    the FROZEN build-time document frequency (Lucene semantics —
     deletes don't lower df until compaction), summed across segments and
     hot-term salts.  Per suggestion the matching terms are one contiguous
     dictionary run per segment (SegmentReader.prefix_rows) aggregated with
@@ -2350,18 +2452,14 @@ class TermSuggester:
 
     def __init__(self, index_dir: str, n: int = 10, lang: str | None = None,
                  max_scan: int = 65536):
-        with open(os.path.join(index_dir, "MANIFEST.json")) as f:
-            self.manifest = json.load(f)
+        core = _IndexCore.open(index_dir)
+        self.manifest = core.manifest
         self.n = n
         self.lang = lang
         self.max_scan = max_scan
         self.lang_tagged = self.manifest["lang_tagged"]
         self.langs = self.manifest["langs"]
-        seg_root = os.path.join(index_dir, "segments")
-        self.segments = [
-            SegmentReader(os.path.join(seg_root, s["segment_id"]))
-            for s in self.manifest["segments"]
-        ]
+        self.segments = core.segments
 
     def suggest_one(self, prefix: str) -> list[tuple[str, int]]:
         toks = tokens_py(prefix)

@@ -441,7 +441,8 @@ class SegmentReader:
 def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
                    shard: int, avgdl: float, doclens: np.ndarray,
                    id_maps: "list | None" = None,
-                   new_map: "np.ndarray | None" = None) -> dict:
+                   new_map: "np.ndarray | None" = None,
+                   lineage: "dict | None" = None) -> dict:
     """Log-structured merge: union posting lists per (term, salt) by doc_id.
 
     Duplicate (term, salt, doc_id) entries across inputs collapse to one
@@ -457,7 +458,8 @@ def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
     generation-local doc ORDINALS, ``id_maps[i]`` translates input ``i``'s
     ordinals to real ids and ``new_map`` (sorted) assigns the merged
     ordinals.  Both maps are monotone, so per-list doc order is preserved
-    without re-sorting.
+    without re-sorting.  ``lineage`` adds keys to the output segment's
+    lineage record.
     """
     readers = [SegmentReader(d) for d in seg_dirs]
     with_pos = bool(readers) and all(r.has_positions for r in readers)
@@ -473,7 +475,8 @@ def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
         for i, key in enumerate(keys):
             rows.setdefault(key, []).append((ri, i))
     builder = SegmentBuilder(segment_id, shard, with_positions=with_pos)
-    builder.set_lineage(merged_from=[os.path.basename(d) for d in seg_dirs])
+    builder.set_lineage(merged_from=[os.path.basename(d) for d in seg_dirs],
+                        **(lineage or {}))
     for term, salt in sorted(rows):
         parts = []
         for ri, i in rows[(term, salt)]:
