@@ -317,10 +317,11 @@ def _corpus_fingerprint(corpus) -> str | None:
     (no data pass), but rewriting a file's contents in place (same names)
     now invalidates stale staging instead of silently resuming from it.
     ``None`` when the Dataset has no file provenance (e.g. from_arrow, or a
-    map_batches lineage that hides it) — then resume validation falls back
-    to trusting STAGING.json and the fast full-resume path is disabled;
-    such callers should pass ``corpus_fp=fingerprint_files(...)`` to
-    build_index instead."""
+    map_batches lineage that hides it) — then nothing can tell a rerun from
+    a different corpus, so existing staging counts as stale and the build
+    starts over (an in-memory corpus cannot outlive a killed build anyway);
+    callers that want resume should pass ``corpus_fp=fingerprint_files(...)``
+    to build_index instead."""
     try:
         files = corpus.input_files()
     except Exception:
@@ -357,12 +358,10 @@ def _staging_valid(index_dir: str, corpus_fp: str | None = None,
         if positions is not None and bool(meta.get("positions")) != positions:
             return False  # positional staging carries an extra column
         # checkpoints are bound to the corpus they were staged from: a
-        # changed input-file list invalidates staging (and everything
-        # derived from it) instead of silently serving stale docs
-        recorded = meta.get("corpus_fp")
-        if corpus_fp is not None and recorded is not None and recorded != corpus_fp:
-            return False
-        return True
+        # changed input-file list, or a corpus with no fingerprint at all,
+        # invalidates staging (and everything derived from it) instead of
+        # silently serving stale docs
+        return corpus_fp is not None and meta.get("corpus_fp") == corpus_fp
     except (json.JSONDecodeError, OSError):
         return False
 

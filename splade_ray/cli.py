@@ -6,8 +6,11 @@
     python -m splade_ray.cli eval   --index DIR --queries Q.csv --out R.csv
     python -m splade_ray.cli fuse   A.csv B.csv --ranker weighted --weights 0.7,0.3
     python -m splade_ray.cli merge  --index A --index B --out DIR
+    python -m splade_ray.cli add    --index DIR --corpus NEW --out DIR2
     python -m splade_ray.cli delete --index DIR --ids 1,2,3 | --ids-file F
     python -m splade_ray.cli compact --index DIR --out DIR2
+    python -m splade_ray.cli fields --index DIR
+    python -m splade_ray.cli alias  NAME [--set DIR]
     python -m splade_ray.cli quality --data SF_DIR
 
 Reference analogues: ``ingest.py`` (build), ``main.py`` chat loop (query),
@@ -23,8 +26,11 @@ at exit.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 
 _OWNS_SESSION = False
@@ -59,323 +65,260 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_query(args) -> int:
-    import numpy as np
+class _Mode(NamedTuple):
+    """One ``query`` mode flag: the ``query.KINDS`` key it selects (None:
+    --validate, which scores nothing) and its argparse keywords.  A set
+    flag's value reaches the engine as the QueryEngine keyword ``kw`` and/or
+    as ``cols(args, value)``, extra columns of the one-row query table;
+    ``parse`` checks and converts it first (ValueError: usage error)."""
 
+    flag: str
+    kind: str | None
+    arg: dict
+    kw: str = ""
+    cols: Callable | None = None
+    parse: Callable | None = None
+
+
+def _at_least_1(what: str) -> Callable:
+    def parse(v: int) -> int:
+        if v < 1:
+            raise ValueError(f"{what} must be >= 1")
+        return v
+    return parse
+
+
+def _pairs(what: str) -> Callable:
+    """parse() for a repeatable ``KEY=VALUE`` flag -> [(key, value)]."""
+    def parse(specs: list[str]) -> list[tuple[str, str]]:
+        pairs = [spec.partition("=") for spec in specs]
+        for spec, (_, _, val) in zip(specs, pairs):
+            if not val:
+                raise ValueError(f"{what} (got {spec!r})")
+        return [(key.strip(), val) for key, _, val in pairs]
+    return parse
+
+
+def _synonyms(specs: list[str]) -> dict[str, list[str]]:
+    return {t: [g.strip() for g in grp.split(",") if g]
+            for t, grp in _pairs("--syn needs TERM=A,B")(specs)}
+
+
+def _cursor(a, v) -> dict:
     from .build import SCORE_SCALE
+
+    return {"cursor_units": int(round(float(v[0]) * SCORE_SCALE)),
+            "cursor_doc": int(v[1])}
+
+
+def _bool_cols(a, v) -> dict:
+    # TEXT is the should clause
+    return {"must": a.must, "should": [a.text] if a.text else [],
+            "must_not": a.must_not, "exclude_ids": [],
+            "min_should_match": a.msm}
+
+
+def _pair_query(a, v) -> dict:
+    return {"query": f"{a.text}|||{v}"}
+
+
+def _switch(flag: str, kind: str | None, help: str, **how) -> _Mode:
+    """A store_true mode flag."""
+    return _Mode(flag, kind, dict(action="store_true", help=help), **how)
+
+
+# every `query` mode flag, in --help order; a flag counts as set when its
+# value differs from its argparse default, and one query takes one kind
+_MODES = (
+    _switch("--prefix", "prefix", "treat TEXT as a term prefix (PrefixQuery)"),
+    _switch("--fuzzy", "fuzzy",
+            "match terms within edit distance 1 (FuzzyQuery)"),
+    _Mode("--must", "bool", dict(
+        action="append", default=[],
+        help="boolean mode: required token (repeatable); TEXT becomes the "
+             "should-clause"), cols=_bool_cols),
+    _Mode("--must-not", "bool", dict(
+        action="append", default=[],
+        help="boolean mode: excluded token (repeatable)"), cols=_bool_cols),
+    _switch("--wildcard", "wildcard", "treat TEXT as a */? wildcard pattern"),
+    _switch("--regexp", "regexp",
+            "treat TEXT as an anchored regular expression"),
+    _switch("--collapse", "collapse",
+            "field-collapse: best doc per lang group"),
+    _switch("--agg", "lang_agg",
+            "terms aggregation over ALL hits: per-lang count + best score"),
+    _switch("--count", "count", "print only the total matching-doc count"),
+    _switch("--cardinality", "cardinality",
+            "print the distinct-lang count over ALL hits (ES cardinality "
+            "agg)"),
+    _switch("--percentiles", "percentiles",
+            "print exact doc_len percentiles over ALL hits (ES percentiles "
+            "agg)"),
+    _switch("--mget", "mget",
+            "treat TEXT as a comma/space-separated doc-id list; print each "
+            "live doc's doc_len + lang (ES mget / ids query)",
+            cols=lambda a, v: {"query": a.text.replace(" ", ",")}),
+    _switch("--qs", "query_string",
+            "treat TEXT as a query-string mini-language: '+must -not "
+            "term^boost prefix* fuzzy~1 lang:xx' (ES query_string / Lucene "
+            "classic parser)"),
+    _Mode("--explain", "explain", dict(
+        type=int, metavar="DOC_ID", default=None,
+        help="per-term score breakdown for TEXT vs DOC_ID"),
+        cols=lambda a, v: {"doc_id": v}),
+    _Mode("--after", "search_after", dict(
+        nargs=2, metavar=("SCORE", "DOC_ID"), default=None,
+        help="search_after cursor: next page strictly after (score, "
+             "doc_id)"), cols=_cursor),
+    _Mode("--syn", "synonym", dict(
+        action="append", default=[], metavar="TERM=A,B",
+        help="query-time synonym group (repeatable); implies synonym "
+             "expansion"), kw="synonyms", parse=_synonyms),
+    _Mode("--msm", "bool", dict(
+        type=int, default=0,
+        help="boolean mode: minimum_should_match over the should clause"),
+        cols=_bool_cols),
+    _Mode("--rescore", "rescore", dict(
+        type=int, metavar="WINDOW", default=0,
+        help="two-phase rescore: BM25 top-WINDOW re-ranked by combined "
+             "bm25+coordination units"),
+        kw="rescore_window", parse=_at_least_1("--rescore WINDOW")),
+    _Mode("--clause", "dis_max", dict(
+        action="append", default=[], metavar="QUERY",
+        help="dis_max mode: repeatable clause queries; per doc best clause "
+             "+ tie_breaker x rest (TEXT ignored)"),
+        cols=lambda a, v: {"clauses": v}),
+    _Mode("--negative", "boosting", dict(
+        default="", metavar="QUERY",
+        help="boosting mode: docs matching this bag are demoted (x "
+             "negative_boost), never excluded"),
+        cols=lambda a, v: {"negative": v}),
+    _switch("--boost-by-len", "function_score",
+            "function_score mode: final score = BM25 x doc_len (ES "
+            "field_value_factor, boost_mode multiply)"),
+    _switch("--ext-stats", "ext_stats",
+            "extended_stats agg over the full hit set "
+            "(n/min/max/sum/sum_sq/avg/variance/std_dev)"),
+    _switch("--mad", "mad",
+            "exact median-absolute-deviation agg of doc_len over the full "
+            "hit set"),
+    _switch("--suggest-term", "term_suggest",
+            "term suggester: dictionary corrections within Levenshtein "
+            "distance 2, ranked dist/df"),
+    _Mode("--adjacent", "adjacency", dict(
+        default="", metavar="QUERY_B",
+        help="adjacency_matrix cell: count docs matching BOTH the text "
+             "query and QUERY_B"), cols=_pair_query),
+    _Mode("--pin", "pinned", dict(
+        action="append", type=int, default=[], metavar="DOC_ID",
+        help="pinned query: promote DOC_ID ahead of the organic ranking "
+             "(repeatable)"), kw="pinned_ids"),
+    _Mode("--shuffle", "random_score", dict(
+        type=int, default=None, metavar="SEED",
+        help="random_score mode: deterministic per-(seed, doc) hash ranking "
+             "of the hit set"), kw="random_seed"),
+    _Mode("--const-score", "constant_score", dict(
+        type=float, default=None, metavar="BOOST",
+        help="constant_score mode: filter-only, every hit scores BOOST, page "
+             "in doc_id order"), kw="const_boost"),
+    _Mode("--rank-feature", "rank_feature", dict(
+        type=int, default=None, metavar="PIVOT",
+        help="rank_feature mode: saturation doc_len/(doc_len+PIVOT), "
+             "integer-quantized"), kw="rf_pivot"),
+    _Mode("--distance-feature", "distance_feature", dict(
+        type=int, default=None, metavar="ORIGIN",
+        help="rank hits by |doc_len - ORIGIN| ASC (ES distance_feature)"),
+        kw="df_origin"),
+    _switch("--validate", None,
+            "validate/inspect the query: analyzed terms with dictionary "
+            "presence and df, no scoring (ES _validate/query + _analyze)"),
+    _Mode("--multi-match", "multi_match", dict(
+        default="", metavar="AUX_INDEX",
+        help="best_fields multi-field search: max of this index's score and "
+             "AUX_INDEX's per doc (ES multi_match)"), kw="aux_index_dir"),
+    _switch("--suggest-phrase", "phrase_suggest",
+            "phrase suggester: per-token fuzzy candidates, phrases ranked by "
+            "exact co-occurrence collate (ES phrase suggester)"),
+    _switch("--boxplot", "boxplot",
+            "boxplot agg (min/q1/median/q3/max of doc_len) over the hit set "
+            "(ES boxplot, exact)"),
+    _switch("--weighted-avg", "weighted_avg",
+            "weighted avg of doc_len, weight = tf of the query's first token "
+            "(ES weighted_avg)"),
+    _Mode("--t-test", "t_test", dict(
+        default="", metavar="QUERY_B",
+        help="Welch t-test on doc_len: population A = TEXT hits, B = QUERY_B "
+             "hits (ES t_test)"), cols=_pair_query),
+    _Mode("--scroll", "scroll", dict(
+        type=int, default=None, metavar="PAGES",
+        help="deep pagination: PAGES fixed-k pages from one scoring pass (ES "
+             "scroll)"),
+        kw="scroll_pages", parse=_at_least_1("--scroll PAGES")),
+    _Mode("--filter-bucket", "filters", dict(
+        action="append", default=[], metavar="NAME=QUERY",
+        help="named filters-agg bucket over the hit set (repeatable; ES "
+             "filters agg)"), kw="filter_buckets",
+        parse=lambda v: [(nm, fq.strip()) for nm, fq in
+                         _pairs("--filter-bucket needs NAME=QUERY")(v)]),
+    _switch("--composite", "composite",
+            "composite agg: (lang, doc_len-bucket) pages"),
+)
+
+
+def _query_plan(args) -> tuple[str | None, dict, dict]:
+    """Parsed ``query`` args -> (kind, QueryEngine keywords, one-row query
+    table columns).  ValueError: conflicting modes or a bad flag value."""
+    vals = ((m, getattr(args, m.flag[2:].replace("-", "_"))) for m in _MODES)
+    on = [(m, v) for m, v in vals if v != m.arg.get("default", False)]
+    if len({m.kind for m, _ in on}) > 1:
+        raise ValueError("conflicting query modes: "
+                         + " ".join(sorted(m.flag for m, _ in on)))
+    kw: dict = {}
+    cols = {"query_id": 0, "query": args.text, "lang": args.lang}
+    for m, v in on:
+        v = m.parse(v) if m.parse else v
+        if m.kw:
+            kw[m.kw] = v
+        if m.cols:
+            cols.update(m.cols(args, v))
+    return (on[0][0].kind if on else "text"), kw, cols
+
+
+def _print_rows(t) -> None:
+    """An answer table -> stdout: a header of its columns minus query_id,
+    then one tab-separated line per row, floats to 9 places."""
+    if not t.num_rows:
+        print("no results")
+        return
+    names = [c for c in t.column_names if c != "query_id"]
+    print("\t".join(names))
+    for row in zip(*(t[c].to_pylist() for c in names)):
+        print("\t".join(f"{v:.9f}" if isinstance(v, float) else str(v)
+                        for v in row))
+
+
+def cmd_query(args) -> int:
+    """One query down the actor pool's own path, in process (no Ray
+    session): the mode flag's ``query.KINDS`` kind answers a one-row query
+    table."""
+    import pyarrow as pa
+
     from .query import QueryEngine
 
-    _ensure_ray()
-    synonyms = {}
-    for spec in getattr(args, "syn", []) or []:
-        term, _, group = spec.partition("=")
-        if not group:
-            print(f"error: --syn needs TERM=A,B (got {spec!r})",
-                  file=sys.stderr)
-            return 2
-        synonyms[term.strip()] = [g.strip() for g in group.split(",") if g]
-    # mode flags are mutually exclusive — validate up front (not by elif
-    # precedence, which would silently ignore the losing flag) and BEFORE
-    # constructing the engine (so a bad --rescore window never reaches it)
-    rescore = getattr(args, "rescore", 0) or 0
-    modes = {
-        "--count": bool(getattr(args, "count", False)),
-        "--agg": bool(getattr(args, "agg", False)),
-        "--cardinality": bool(getattr(args, "cardinality", False)),
-        "--percentiles": bool(getattr(args, "percentiles", False)),
-        "--mget": bool(getattr(args, "mget", False)),
-        "--qs": bool(getattr(args, "qs", False)),
-        "--explain": getattr(args, "explain", None) is not None,
-        "--collapse": bool(getattr(args, "collapse", False)),
-        "--after": bool(getattr(args, "after", None)),
-        "--prefix": bool(args.prefix),
-        "--fuzzy": bool(args.fuzzy),
-        "--wildcard": bool(getattr(args, "wildcard", False)),
-        "--regexp": bool(getattr(args, "regexp", False)),
-        "--rescore": bool(rescore),
-        "--must/--must-not/--msm": bool(args.must or args.must_not
-                                        or getattr(args, "msm", 0)),
-        "--syn": bool(synonyms),
-        "--clause": bool(getattr(args, "clause", None)),
-        "--negative": bool(getattr(args, "negative", None)),
-        "--boost-by-len": bool(getattr(args, "boost_by_len", False)),
-        "--ext-stats": bool(getattr(args, "ext_stats", False)),
-        "--mad": bool(getattr(args, "mad", False)),
-        "--suggest-term": bool(getattr(args, "suggest_term", False)),
-        "--adjacent": bool(getattr(args, "adjacent", "")),
-        "--pin": bool(getattr(args, "pin", None)),
-        "--shuffle": getattr(args, "shuffle", None) is not None,
-        "--const-score": getattr(args, "const_score", None) is not None,
-        "--rank-feature": getattr(args, "rank_feature", None) is not None,
-        "--composite": bool(getattr(args, "composite", False)),
-        "--boxplot": bool(getattr(args, "boxplot", False)),
-        "--suggest-phrase": bool(getattr(args, "suggest_phrase", False)),
-        "--multi-match": bool(getattr(args, "multi_match", "")),
-        "--validate": bool(getattr(args, "validate", False)),
-        "--distance-feature": getattr(args, "distance_feature",
-                                      None) is not None,
-        "--weighted-avg": bool(getattr(args, "weighted_avg", False)),
-        "--t-test": bool(getattr(args, "t_test", "")),
-        "--scroll": getattr(args, "scroll", None) is not None,
-        "--filter-bucket": bool(getattr(args, "filter_bucket", None)),
-    }
-    set_flags = sorted(k for k, v in modes.items() if v)
-    if len(set_flags) > 1:
-        print("error: conflicting query modes: " + " ".join(set_flags),
-              file=sys.stderr)
+    try:
+        kind, kw, cols = _query_plan(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
-    if rescore and rescore < 1:
-        print("error: --rescore WINDOW must be >= 1", file=sys.stderr)
-        return 2
-    scroll = getattr(args, "scroll", None)
-    if scroll is not None and scroll < 1:
-        print("error: --scroll PAGES must be >= 1", file=sys.stderr)
-        return 2
-    filter_buckets = []
-    for spec in getattr(args, "filter_bucket", []) or []:
-        nm, _, fq = spec.partition("=")
-        if not fq:
-            print(f"error: --filter-bucket needs NAME=QUERY (got {spec!r})",
-                  file=sys.stderr)
-            return 2
-        filter_buckets.append((nm.strip(), fq.strip()))
-    engine = QueryEngine(
-        args.index, k=args.k, scorer=args.scorer, synonyms=synonyms,
-        rescore_window=rescore or 50,
-        pinned_ids=getattr(args, "pin", None) or [],
-        random_seed=getattr(args, "shuffle", None) or 42,
-        const_boost=(getattr(args, "const_score", None)
-                     if getattr(args, "const_score", None) is not None
-                     else 1.0),
-        rf_pivot=getattr(args, "rank_feature", None) or 50,
-        filter_buckets=filter_buckets,
-        scroll_pages=scroll or 3,
-        aux_index_dir=getattr(args, "multi_match", "") or None,
-        df_origin=(getattr(args, "distance_feature", None)
-                   if getattr(args, "distance_feature", None) is not None
-                   else 64))
-    lang = args.lang or None
-    if getattr(args, "ext_stats", False):
-        n, lo, hi, s, ss = engine.search_ext_stats(args.text, lang)
-        if not n:
-            print("no results")
-            return 0
-        avg, var, std = engine.ext_stats_floats(n, s, ss)
-        print(f"n={n}\tmin={lo}\tmax={hi}\tsum={s}\tsum_sq={ss}\t"
-              f"avg={avg:.6f}\tvariance={var:.6f}\tstd_dev={std:.6f}")
-        return 0
-    if getattr(args, "mad", False):
-        n, med, mad = engine.search_mad(args.text, lang)
-        if not n:
-            print("no results")
-            return 0
-        print(f"n={n}\tmedian={med}\tmad={mad}")
-        return 0
-    if getattr(args, "suggest_term", False):
-        rows = engine.suggest_terms(args.text, lang)
-        if not rows:
-            print("no suggestions")
-            return 0
-        for term, d, df in rows:
-            print(f"{term}\tdist={d}\tdf={df}")
-        return 0
-    if getattr(args, "adjacent", ""):
-        print(engine.search_adjacency(f"{args.text}|||{args.adjacent}",
-                                      lang))
-        return 0
-    if getattr(args, "distance_feature", None) is not None:
-        ids, dists = engine.search_distance_feature(args.text, lang)
-        if not len(ids):
-            print("no results")
-            return 0
-        for rank, (d, dv) in enumerate(zip(ids, dists), start=1):
-            print(f"{rank}\t{int(d)}\tdist={int(dv)}")
-        return 0
-    if getattr(args, "validate", False):
-        qterms = engine._query_terms(args.text, lang)
-        if not qterms:
-            print("valid: 0 terms (matches nothing)")
-            return 0
-        for term, qtf in qterms.items():
-            df = engine._term_refs(term)[1]
-            state = f"df={df}" if df else "NOT IN DICTIONARY"
-            print(f"{term}\tqtf={qtf}\t{state}")
-        return 0
-    if getattr(args, "multi_match", ""):
-        ids, units = engine.search_multi_match(args.text, lang)
-        if not len(ids):
-            print("no results")
-            return 0
-        for rank, (d, u) in enumerate(zip(ids, units), start=1):
-            print(f"{rank}\t{int(d)}\t{int(u) / SCORE_SCALE:.9f}")
-        return 0
-    if getattr(args, "suggest_phrase", False):
-        rows = engine.suggest_phrase(args.text, lang)
-        if not rows:
-            print("no suggestions")
-            return 0
-        for rank, (ph, n) in enumerate(rows, start=1):
-            print(f"{rank}\t{ph}\tn_docs={n}")
-        return 0
-    if getattr(args, "boxplot", False):
-        n, lo, q1, med, q3, hi = engine.search_boxplot(args.text, lang)
-        if not n:
-            print("no results")
-            return 0
-        print(f"n={n}\tmin={lo}\tq1={q1}\tmedian={med}\tq3={q3}\tmax={hi}")
-        return 0
-    if getattr(args, "weighted_avg", False):
-        n, sw, swv = engine.search_weighted_avg(args.text, lang)
-        if not sw:
-            print("no results")
-            return 0
-        print(f"n={n}\tsum_w={sw}\tsum_wv={swv}\tweighted_avg={swv / sw:.6f}")
-        return 0
-    if getattr(args, "t_test", ""):
-        n1, s1, ss1, n2, s2, ss2 = engine.search_t_test(
-            f"{args.text}|||{args.t_test}", lang)
-        if n1 < 2 or n2 < 2:
-            print("no results (each side needs >= 2 hits)")
-            return 0
-        from .query import welch_t_floats
-
-        m1, m2, t = welch_t_floats(n1, s1, ss1, n2, s2, ss2)
-        print(f"n1={n1}\tmean1={m1:.6f}\tn2={n2}\tmean2={m2:.6f}\t"
-              f"t={t:.6f}")
-        return 0
-    if getattr(args, "filter_bucket", None):
-        names, counts = engine.search_filters(args.text, lang)
-        if not names:
-            print("no results")
-            return 0
-        for nm, n in zip(names, counts):
-            print(f"{nm}\t{int(n)}")
-        return 0
-    if getattr(args, "scroll", None) is not None:
-        ids, units = engine.search_scroll(args.text, lang)
-        if not len(ids):
-            print("no results")
-            return 0
-        for i, (d, u) in enumerate(zip(ids, units)):
-            print(f"page={i // args.k + 1}\trank={i % args.k + 1}\t"
-                  f"{int(d)}\t{int(u) / SCORE_SCALE:.9f}")
-        return 0
-    if getattr(args, "composite", False):
-        lvs, buckets, counts = engine.search_composite(args.text, lang)
-        if not lvs:
-            print("no results")
-            return 0
-        for lv, b, c in zip(lvs, buckets, counts):
-            print(f"{lv}\t{int(b)}\t{int(c)}")
-        return 0
-    if getattr(args, "pin", None):
-        ids, units, flags = engine.search_pinned(args.text, lang)
-        if not len(ids):
-            print("no results")
-            return 0
-        for rank, (d, u, f) in enumerate(zip(ids, units, flags), start=1):
-            tag = "pinned" if f else "organic"
-            print(f"{rank}\t{int(d)}\t{int(u) / SCORE_SCALE:.9f}\t{tag}")
-        return 0
-    if getattr(args, "shuffle", None) is not None:
-        ids, hs = engine.search_random_score(args.text, lang)
-        if not len(ids):
-            print("no results")
-            return 0
-        for rank, (d, h) in enumerate(zip(ids, hs), start=1):
-            print(f"{rank}\t{int(d)}\t{int(h)}")
-        return 0
-    if getattr(args, "count", False):
-        print(engine.count_hits(args.text, lang))
-        return 0
-    if getattr(args, "agg", False):
-        lgs, ns, bests = engine.search_lang_agg(args.text, lang)
-        for lg, n, b in zip(lgs, ns, bests):
-            print(f"{lg}\t{int(n)}\t{int(b) / SCORE_SCALE:.9f}")
-        return 0
-    if getattr(args, "cardinality", False):
-        print(len(engine.search_cardinality(args.text, lang)))
-        return 0
-    if getattr(args, "mget", False):
-        req = [int(x) for x in args.text.replace(" ", ",").split(",") if x]
-        d, dl, lgs = engine.mget(req)
-        if not len(d):
-            print("no results")
-            return 0
-        for dd, ll, lg in zip(d, dl, lgs):
-            print(f"{int(dd)}\t{int(ll)}\t{lg}")
-        return 0
-    if getattr(args, "percentiles", False):
-        from .query import PERCENTILE_QS, disc_percentiles
-
-        vals, counts = engine.search_dl_value_counts(args.text, lang)
-        if not len(vals):
-            print("no results")
-            return 0
-        n, ps = disc_percentiles(vals, counts, PERCENTILE_QS)
-        print("\t".join([f"n={n}"] + [
-            f"p{int(round(q * 100))}={v}"
-            for q, v in zip(PERCENTILE_QS, ps)]))
-        return 0
-    if getattr(args, "explain", None) is not None:
-        rows = engine.explain(args.text, args.explain, lang)
-        if not rows:
-            print("no contributing terms")
-            return 0
-        for term, qtf, df, tf, u in rows:
-            print(f"{term}\tqtf={qtf}\tdf={df}\ttf={tf}\t"
-                  f"{u / SCORE_SCALE:.9f}")
-        return 0
-    if getattr(args, "collapse", False):
-        ids, units, lgs = engine.search_collapse(args.text, lang)
-        for rank, (d, u, lg) in enumerate(zip(ids, units, lgs), start=1):
-            print(f"{rank}\t{int(d)}\t{u / SCORE_SCALE:.9f}\t{lg}")
-        if not len(ids):
-            print("no results")
-        return 0
-    if getattr(args, "after", None):
-        cu = int(round(float(args.after[0]) * SCORE_SCALE))
-        ids, units = engine.search_after(args.text, cu, int(args.after[1]),
-                                         lang)
-    elif args.prefix:
-        ids, units = engine.search_prefix(args.text, lang)
-    elif args.fuzzy:
-        ids, units = engine.search_fuzzy(args.text, lang)
-    elif getattr(args, "wildcard", False):
-        ids, units = engine.search_wildcard(args.text, lang)
-    elif getattr(args, "regexp", False):
-        ids, units = engine.search_regexp(args.text, lang)
-    elif rescore:
-        ids, units = engine.search_rescore(args.text, lang)
-    elif getattr(args, "clause", None):
-        ids, units = engine.search_dis_max(args.clause, lang)
-    elif getattr(args, "negative", None):
-        ids, units = engine.search_boosting(args.text, args.negative, lang)
-    elif getattr(args, "boost_by_len", False):
-        ids, units = engine.search_function_score(args.text, lang)
-    elif getattr(args, "const_score", None) is not None:
-        ids = engine.search_constant_score(args.text, lang)
-        units = np.full(len(ids),
-                        int(round(engine.const_boost * SCORE_SCALE)),
-                        dtype=np.int64)
-    elif getattr(args, "rank_feature", None) is not None:
-        ids, units = engine.search_rank_feature(args.text, lang)
-    elif args.must or args.must_not or getattr(args, "msm", 0):
-        should = [args.text] if args.text else []
-        ids, units = engine.search_bool(
-            args.must or [], should, args.must_not or [], lang,
-            min_should_match=getattr(args, "msm", 0))
-    elif synonyms:
-        ids, units = engine.search_synonym(args.text, lang)
-    elif getattr(args, "qs", False):
-        ids, units = engine.search_query_string(args.text, lang)
+    engine = QueryEngine(args.index, k=args.k, scorer=args.scorer,
+                         query_kind=kind or "text", **kw)
+    if kind is None:  # --validate: analyzed terms and their df
+        qterms = engine._query_terms(args.text, args.lang or None)
+        _print_rows(pa.table({
+            "term": list(qterms), "qtf": list(qterms.values()),
+            "df": [engine._term_refs(t)[1] for t in qterms]}))
     else:
-        ids, units = engine.search_one(args.text, lang)
-    if len(ids) == 0:
-        print("no results")
-        return 0
-    for rank, (d, u) in enumerate(zip(ids, units), start=1):
-        print(f"{rank}\t{int(d)}\t{u / SCORE_SCALE:.9f}")
+        _print_rows(engine(pa.table({c: [v] for c, v in cols.items()})))
     return 0
 
 
@@ -384,18 +327,19 @@ def cmd_phrase(args) -> int:
     (``build --positions``): exact consecutive-token phrases, or
     ``--near A B --slop N`` proximity, ranked by BM25 over the matched
     docs.  No content fetch — everything comes from the posting sidecar."""
-    import math
+    from collections import Counter
+
+    import pyarrow as pa
 
     from .alias import resolve_index
-    from .analyzer import tokens_py
-    from .build import SCORE_SCALE
-    from .phrase import index_stats, positional_units
+    from .analyzer import LANG_SEP, tokens_py
+    from .phrase import positional_topk, tag_spec
 
     # resolve an alias ONCE: the manifest read, the df lookup and the
     # positional fan-out must all see the same generation
     index = resolve_index(args.index)
     _ensure_ray()
-    if getattr(args, "multi", False):
+    if args.multi:
         # MultiPhraseQuery: TEXT positions separated by whitespace, each
         # position a |-joined alternative set, e.g. "stream data|write"
         positions = [[t for alt in grp.split("|")
@@ -406,7 +350,7 @@ def cmd_phrase(args) -> int:
             return 0
         spec = {"qid": 0, "kind": "multi_phrase", "positions": positions}
         terms = [t for p in positions for t in p]
-    elif getattr(args, "containing", None):
+    elif args.containing:
         a, b = args.containing
         toks = tokens_py(args.text)
         if a == b or not toks:
@@ -417,7 +361,7 @@ def cmd_phrase(args) -> int:
                 "window": args.window, "tokens": toks}
         # SpanContaining scores the big side, SpanWithin the little side
         terms = [a, b] if args.score_side == "big" else toks
-    elif getattr(args, "span_or", None):
+    elif args.span_or:
         clauses = [tokens_py(c) for c in args.span_or]
         clauses = [c for c in clauses if c]
         if not clauses:
@@ -425,7 +369,7 @@ def cmd_phrase(args) -> int:
             return 0
         spec = {"qid": 0, "kind": "span_or", "clauses": clauses}
         terms = [t for c in clauses for t in c]
-    elif getattr(args, "span_not", None) is not None:
+    elif args.span_not is not None:
         toks = tokens_py(args.text)
         ex = tokens_py(args.span_not)
         if not toks or len(ex) != 1:
@@ -435,7 +379,7 @@ def cmd_phrase(args) -> int:
         spec = {"qid": 0, "kind": "span_not", "tokens": toks,
                 "exclude": ex[0], "pre": args.pre, "post": args.post}
         terms = toks
-    elif getattr(args, "span", None):
+    elif args.span:
         terms = [t for s in args.span for t in tokens_py(s)]
         if len(set(terms)) != len(terms) or len(terms) < 2:
             print("error: --span needs >= 2 distinct terms", file=sys.stderr)
@@ -459,42 +403,23 @@ def cmd_phrase(args) -> int:
             return 0
         spec = {"qid": 0, "kind": "phrase", "tokens": toks}
         terms = toks
-    qtf: dict[str, int] = {}
-    for t in terms:
-        qtf[t] = qtf.get(t, 0) + 1
+    qtf = Counter(terms)
     # lang-tagged indexes store 'lg:tok' terms: expand the spec into one
     # per-language variant (same qid — a doc is single-language, so at
     # most one variant verifies it), mirroring analyze_query's expansion;
     # --lang scopes to that language only
-    import json as _json
-
-    from .phrase import tag_spec
-
     with open(os.path.join(index, "MANIFEST.json")) as f:
-        man = _json.load(f)
+        man = json.load(f)
     if man.get("lang_tagged"):
-        from .analyzer import LANG_SEP
-
-        lgs = ([args.lang] if getattr(args, "lang", "") else man["langs"])
+        lgs = [args.lang] if args.lang else man["langs"]
         specs = [tag_spec(spec, lg) for lg in lgs]
         qtf = {f"{lg}{LANG_SEP}{t}": c
                for lg in lgs for t, c in qtf.items()}
     else:
         specs = [spec]
-    n_docs, _avgdl, dfs = index_stats(index, sorted(qtf))
-    weights = {0: [
-        (t, c * math.log(1.0 + (n_docs - dfs[t] + 0.5) / (dfs[t] + 0.5)))
-        for t, c in qtf.items() if t in dfs]}
-    res = (positional_units(index, specs, weights)
-           .groupby(["query_id", "doc_id"]).sum("units").to_pandas())
-    if res.empty:
-        print("no results")
-        return 0
-    res = res.sort_values(["sum(units)", "doc_id"],
-                          ascending=[False, True]).head(args.k)
-    for rank, (d, u) in enumerate(zip(res["doc_id"], res["sum(units)"]),
-                                  start=1):
-        print(f"{rank}\t{int(d)}\t{u / SCORE_SCALE:.9f}")
+    res = positional_topk(index, specs,
+                          [(0, t, c) for t, c in qtf.items()], args.k)
+    _print_rows(pa.Table.from_pandas(res.to_pandas(), preserve_index=False))
     return 0
 
 
@@ -528,8 +453,6 @@ def cmd_eval(args) -> int:
     res = run_queries(queries, args.index, k=args.k, scorer=args.scorer,
                       concurrency=max(min(args.concurrency, cpus - 1), 1))
     if args.out.endswith(".csv"):
-        import pandas as pd
-
         res.to_pandas().sort_values(["query_id", "rank"]).to_csv(
             args.out, index=False)
     else:
@@ -635,12 +558,10 @@ def cmd_fields(args) -> int:
     shape): the fields/capabilities a consumer can query, straight from
     the frozen MANIFEST — no postings touched.  ``--index`` may be an
     alias (resolved like every other index path)."""
-    import json as _json
-
     from .alias import resolve_index
 
     with open(os.path.join(resolve_index(args.index), "MANIFEST.json")) as f:
-        m = _json.load(f)
+        m = json.load(f)
     has_pos = bool(m.get("positions"))
     rows = [
         ("content", "text", "searchable; BM25 scored"
@@ -701,7 +622,7 @@ def cmd_compact(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="splade_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -727,133 +648,8 @@ def main(argv=None) -> int:
     q.add_argument("--k", type=int, default=10)
     q.add_argument("--lang", default="")
     q.add_argument("--scorer", default="taat", choices=["taat", "bmw"])
-    q.add_argument("--prefix", action="store_true",
-                   help="treat TEXT as a term prefix (PrefixQuery)")
-    q.add_argument("--fuzzy", action="store_true",
-                   help="match terms within edit distance 1 (FuzzyQuery)")
-    q.add_argument("--must", action="append", default=[],
-                   help="boolean mode: required token (repeatable); "
-                        "TEXT becomes the should-clause")
-    q.add_argument("--must-not", action="append", default=[], dest="must_not",
-                   help="boolean mode: excluded token (repeatable)")
-    q.add_argument("--wildcard", action="store_true",
-                   help="treat TEXT as a */? wildcard pattern")
-    q.add_argument("--regexp", action="store_true",
-                   help="treat TEXT as an anchored regular expression")
-    q.add_argument("--collapse", action="store_true",
-                   help="field-collapse: best doc per lang group")
-    q.add_argument("--agg", action="store_true",
-                   help="terms aggregation over ALL hits: per-lang count + "
-                        "best score")
-    q.add_argument("--count", action="store_true",
-                   help="print only the total matching-doc count")
-    q.add_argument("--cardinality", action="store_true",
-                   help="print the distinct-lang count over ALL hits "
-                        "(ES cardinality agg)")
-    q.add_argument("--percentiles", action="store_true",
-                   help="print exact doc_len percentiles over ALL hits "
-                        "(ES percentiles agg)")
-    q.add_argument("--mget", action="store_true",
-                   help="treat TEXT as a comma/space-separated doc-id "
-                        "list; print each live doc's doc_len + lang "
-                        "(ES mget / ids query)")
-    q.add_argument("--qs", action="store_true",
-                   help="treat TEXT as a query-string mini-language: "
-                        "'+must -not term^boost prefix* fuzzy~1 lang:xx' "
-                        "(ES query_string / Lucene classic parser)")
-    q.add_argument("--explain", type=int, metavar="DOC_ID", default=None,
-                   help="per-term score breakdown for TEXT vs DOC_ID")
-    q.add_argument("--after", nargs=2, metavar=("SCORE", "DOC_ID"),
-                   default=None,
-                   help="search_after cursor: next page strictly after "
-                        "(score, doc_id)")
-    q.add_argument("--syn", action="append", default=[],
-                   metavar="TERM=A,B",
-                   help="query-time synonym group (repeatable); implies "
-                        "synonym expansion")
-    q.add_argument("--msm", type=int, default=0,
-                   help="boolean mode: minimum_should_match over the "
-                        "should clause")
-    q.add_argument("--rescore", type=int, metavar="WINDOW", default=0,
-                   help="two-phase rescore: BM25 top-WINDOW re-ranked by "
-                        "combined bm25+coordination units")
-    q.add_argument("--clause", action="append", default=[],
-                   metavar="QUERY",
-                   help="dis_max mode: repeatable clause queries; per doc "
-                        "best clause + tie_breaker x rest (TEXT ignored)")
-    q.add_argument("--negative", default="",
-                   metavar="QUERY",
-                   help="boosting mode: docs matching this bag are demoted "
-                        "(x negative_boost), never excluded")
-    q.add_argument("--boost-by-len", action="store_true", dest="boost_by_len",
-                   help="function_score mode: final score = BM25 x doc_len "
-                        "(ES field_value_factor, boost_mode multiply)")
-    q.add_argument("--ext-stats", action="store_true", dest="ext_stats",
-                   help="extended_stats agg over the full hit set "
-                        "(n/min/max/sum/sum_sq/avg/variance/std_dev)")
-    q.add_argument("--mad", action="store_true",
-                   help="exact median-absolute-deviation agg of doc_len "
-                        "over the full hit set")
-    q.add_argument("--suggest-term", action="store_true",
-                   dest="suggest_term",
-                   help="term suggester: dictionary corrections within "
-                        "Levenshtein distance 2, ranked dist/df")
-    q.add_argument("--adjacent", default="", metavar="QUERY_B",
-                   help="adjacency_matrix cell: count docs matching BOTH "
-                        "the text query and QUERY_B")
-    q.add_argument("--pin", action="append", type=int, default=[],
-                   metavar="DOC_ID",
-                   help="pinned query: promote DOC_ID ahead of the "
-                        "organic ranking (repeatable)")
-    q.add_argument("--shuffle", type=int, default=None, metavar="SEED",
-                   help="random_score mode: deterministic per-(seed, doc) "
-                        "hash ranking of the hit set")
-    q.add_argument("--const-score", type=float, default=None,
-                   dest="const_score", metavar="BOOST",
-                   help="constant_score mode: filter-only, every hit "
-                        "scores BOOST, page in doc_id order")
-    q.add_argument("--rank-feature", type=int, default=None,
-                   dest="rank_feature", metavar="PIVOT",
-                   help="rank_feature mode: saturation doc_len/(doc_len+"
-                        "PIVOT), integer-quantized")
-    q.add_argument("--distance-feature", type=int, default=None,
-                   dest="distance_feature", metavar="ORIGIN",
-                   help="rank hits by |doc_len - ORIGIN| ASC (ES "
-                        "distance_feature)")
-    q.add_argument("--validate", action="store_true",
-                   help="validate/inspect the query: analyzed terms with "
-                        "dictionary presence and df, no scoring (ES "
-                        "_validate/query + _analyze)")
-    q.add_argument("--multi-match", default="", dest="multi_match",
-                   metavar="AUX_INDEX",
-                   help="best_fields multi-field search: max of this "
-                        "index's score and AUX_INDEX's per doc (ES "
-                        "multi_match)")
-    q.add_argument("--suggest-phrase", action="store_true",
-                   dest="suggest_phrase",
-                   help="phrase suggester: per-token fuzzy candidates, "
-                        "phrases ranked by exact co-occurrence collate "
-                        "(ES phrase suggester)")
-    q.add_argument("--boxplot", action="store_true",
-                   help="boxplot agg (min/q1/median/q3/max of doc_len) "
-                        "over the hit set (ES boxplot, exact)")
-    q.add_argument("--weighted-avg", action="store_true",
-                   dest="weighted_avg",
-                   help="weighted avg of doc_len, weight = tf of the "
-                        "query's first token (ES weighted_avg)")
-    q.add_argument("--t-test", default="", dest="t_test",
-                   metavar="QUERY_B",
-                   help="Welch t-test on doc_len: population A = TEXT "
-                        "hits, B = QUERY_B hits (ES t_test)")
-    q.add_argument("--scroll", type=int, default=None, metavar="PAGES",
-                   help="deep pagination: PAGES fixed-k pages from one "
-                        "scoring pass (ES scroll)")
-    q.add_argument("--filter-bucket", action="append", default=[],
-                   dest="filter_bucket", metavar="NAME=QUERY",
-                   help="named filters-agg bucket over the hit set "
-                        "(repeatable; ES filters agg)")
-    q.add_argument("--composite", action="store_true",
-                   help="composite agg: (lang, doc_len-bucket) pages")
+    for m in _MODES:
+        q.add_argument(m.flag, **m.arg)
     q.set_defaults(fn=cmd_query)
 
     ph = sub.add_parser("phrase")
@@ -962,8 +758,11 @@ def main(argv=None) -> int:
     qy.add_argument("--data", required=True,
                     help="sf-style dir with documents.parquet")
     qy.set_defaults(fn=cmd_quality)
+    return p
 
-    args = p.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     finally:

@@ -532,6 +532,49 @@ def positional_units(index_dir: str, specs: list[dict],
                    "weights": weights})
 
 
+def rank_units(units_ds, k: int):
+    """(query_id, doc_id, units) rows -> per-query top-k (query_id, rank,
+    doc_id, score): units summed per (query, doc), ranked units desc then
+    doc_id asc, score = units / SCORE_SCALE."""
+    from ray.data.aggregate import Sum
+
+    from .build import SCORE_SCALE
+
+    def _rank(group: pa.Table) -> pa.Table:
+        units = group["units"].to_numpy(zero_copy_only=False)
+        ids = group["doc_id"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((ids, -units))[:k]
+        return pa.table({
+            "query_id": group["query_id"].take(pa.array(order)),
+            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
+            "doc_id": pa.array(ids[order]),
+            "score": pa.array(units[order] / SCORE_SCALE, type=pa.float64()),
+        })
+
+    return (units_ds.groupby(["query_id", "doc_id"])
+            .aggregate(Sum("units", alias_name="units"))
+            .groupby("query_id").map_groups(_rank, batch_format="pyarrow"))
+
+
+def positional_topk(index_dir: str, specs: list[dict],
+                    qterms: list[tuple[int, str, int]], k: int):
+    """Phrase / NEAR / span top-k answered ENTIRELY from the positional
+    index: idf weights from index_stats, verified + scored units from
+    positional_units (no content fetch), ranked by rank_units.  ``qterms``
+    are the (query_id, term, qtf) rows the verified docs score on."""
+    import math
+
+    n_docs, _avgdl, dfs = index_stats(index_dir,
+                                      sorted({t for _, t, _ in qterms}))
+    weights: dict[int, list[tuple[str, float]]] = {}
+    for qid, t, qtf in qterms:
+        df = dfs.get(t)
+        if df is not None:
+            w = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+            weights.setdefault(qid, []).append((t, qtf * w))
+    return rank_units(positional_units(index_dir, specs, weights), k)
+
+
 def candidate_ordinals(index_dir: str, *, any_terms: list[str] | None = None,
                        groups: list[list[str]] | None = None,
                        n_ranges: int | None = None) -> np.ndarray:

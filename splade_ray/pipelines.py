@@ -25,8 +25,9 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-from .build import build_index, prepare_batch
+from .build import build_index, fingerprint_files, prepare_batch
 from .corpus import documents_as_corpus_batch
+from .phrase import positional_topk, rank_units
 from .query import run_queries, run_queries_sharded
 
 # Shared query literals: the Ray side runs them through the engine, the SQL
@@ -305,8 +306,6 @@ def _contract_index(sf_dir: str) -> str:
     # pass the explicit fingerprint: it binds the checkpoint to the parquet
     # AND enables build_index's fast full-resume (warm serving entries —
     # phrase candidates, repeat bm25 calls — skip the re-validation passes)
-    from .build import fingerprint_files
-
     fp = fingerprint_files([os.path.join(sf_dir, "documents.parquet")])
     build_index(corpus_ds(sf_dir), idx, lang_tagged=False, n_shards=8,
                 corpus_fp=fp)
@@ -649,27 +648,6 @@ def _qterms_py() -> list[tuple[int, str, int]]:
     return rows
 
 
-def _rank_units_group(top_k: int):
-    """Per-query ranking of summed integer units -> (rank, doc_id, score);
-    ties break (units desc, doc_id asc), score = units / SCORE_SCALE."""
-    from .build import SCORE_SCALE
-
-    def _rank(group: pa.Table) -> pa.Table:
-        units = group["units"].to_numpy(zero_copy_only=False)
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -units))[:top_k]
-        return pa.table(
-            {
-                "query_id": group["query_id"].take(pa.array(order)),
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-                "doc_id": pa.array(ids[order]),
-                "score": pa.array(units[order] / SCORE_SCALE, type=pa.float64()),
-            }
-        )
-
-    return _rank
-
-
 def idf_coord_topk(sf_dir: str, top_k: int = TOP_K):
     """Relational scoring without an index: BM25 with k1=0 (each matching
     term contributes qtf*idf — coordination/IDF match).  qterms (tiny) are
@@ -677,8 +655,6 @@ def idf_coord_topk(sf_dir: str, top_k: int = TOP_K):
     one aggregate.  Second leg of the RRF hybrid (reference analogue: the
     dense leg of hybrid search, retrievers.py:110-128)."""
     import math
-
-    from ray.data.aggregate import Sum
 
     from .build import SCORE_SCALE
 
@@ -742,15 +718,9 @@ def idf_coord_topk(sf_dir: str, top_k: int = TOP_K):
             }
         )
 
-    summed = (
-        postings(sf_dir)
-        .map_batches(_contrib, batch_format="pyarrow")
-        .groupby(["query_id", "doc_id"])
-        .aggregate(Sum("units", alias_name="units"))
-    )
-
-    return summed.groupby("query_id").map_groups(
-        _rank_units_group(top_k), batch_format="pyarrow")
+    return rank_units(
+        postings(sf_dir).map_batches(_contrib, batch_format="pyarrow"),
+        top_k)
 
 
 # Chunker implementation lives in splade_ray.chunk (vectorized byte-gather
@@ -959,8 +929,6 @@ def _bm25_over_verified(sf_dir: str, lits: list[tuple[int, str]],
     oracles unchanged (sql.phrase_*_sql)."""
     import math
 
-    from ray.data.aggregate import Sum
-
     from . import B, DROP_WS, K1
     from .analyzer import doc_token_stats_from_flat, tokenize_flat, tokens_py
     from .build import SCORE_SCALE
@@ -1086,14 +1054,9 @@ def _bm25_over_verified(sf_dir: str, lits: list[tuple[int, str]],
             }
         )
 
-    summed = (
+    return rank_units(
         _candidate_corpus(sf_dir, idx, cand64)
-        .map_batches(_batch, batch_format="pyarrow")
-        .groupby(["query_id", "doc_id"])
-        .aggregate(Sum("units", alias_name="units"))
-    )
-    return summed.groupby("query_id").map_groups(
-        _rank_units_group(top_k), batch_format="pyarrow")
+        .map_batches(_batch, batch_format="pyarrow"), top_k)
 
 
 def phrase_topk(sf_dir: str, top_k: int = TOP_K, match: str = "substring"):
@@ -1131,40 +1094,10 @@ def _contract_index_pos(sf_dir: str) -> str:
     extra column, and the non-positional entries must not pay for it."""
     key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
     idx = os.path.join("/tmp/splade_ray_contract_pos", key)
-    from .build import fingerprint_files
-
     fp = fingerprint_files([os.path.join(sf_dir, "documents.parquet")])
     build_index(corpus_ds(sf_dir), idx, lang_tagged=False, n_shards=8,
                 corpus_fp=fp, positions=True)
     return idx
-
-
-def _positional_ranked(sf_dir: str, specs: list[dict],
-                       qterms: list[tuple[int, str, int]], top_k: int):
-    """Shared tail of the positional phrase/NEAR pipelines: idf weights from
-    the index stats, verified+scored units from the positional sidecar
-    (phrase.positional_units — NO content fetch), ranked per query."""
-    import math
-
-    from .phrase import index_stats, positional_units
-
-    idx = _contract_index_pos(sf_dir)
-    qt_all = sorted({t for _, t, _ in qterms})
-    n_docs, _avgdl, dfs = index_stats(idx, qt_all)
-    weights: dict[int, list[tuple[str, float]]] = {}
-    for qid, t, qtf in qterms:
-        df = dfs.get(t)
-        if df is None:
-            continue
-        w = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        weights.setdefault(qid, []).append((t, qtf * w))
-    summed = (
-        positional_units(idx, specs, weights)
-        .groupby(["query_id", "doc_id"])
-        .aggregate(Sum("units", alias_name="units"))
-    )
-    return summed.groupby("query_id").map_groups(
-        _rank_units_group(top_k), batch_format="pyarrow")
 
 
 def phrase_topk_positional(sf_dir: str, top_k: int = TOP_K):
@@ -1183,7 +1116,8 @@ def phrase_topk_positional(sf_dir: str, top_k: int = TOP_K):
         for tok in tokens_py(ph):
             tf[tok] = tf.get(tok, 0) + 1
         qterms.extend((qid, t, n) for t, n in tf.items())
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 # Span-NEAR queries: (qid, [terms], window) — every term inside a window of
@@ -1210,7 +1144,8 @@ def span_near_topk(sf_dir: str, top_k: int = TOP_K, ordered: bool = True):
               "ordered": ordered}
              for qid, terms, w in SPAN_QUERIES]
     qterms = [(qid, t, 1) for qid, terms, _ in SPAN_QUERIES for t in terms]
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 def phrase_near_positional(sf_dir: str, top_k: int = TOP_K,
@@ -1222,7 +1157,8 @@ def phrase_near_positional(sf_dir: str, top_k: int = TOP_K,
               "ordered": ordered}
              for qid, a, b, slop in NEAR_QUERIES]
     qterms = [(qid, t, 1) for qid, a, b, _ in NEAR_QUERIES for t in (a, b)]
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 # SpanFirst queries: (qid, term, limit) — the term within the first
@@ -1274,7 +1210,7 @@ def phrase_prefix_topk(sf_dir: str, top_k: int = TOP_K):
         bag = dict.fromkeys(head)
         bag.update(dict.fromkeys(eng.expand_prefix(pre)))
         qterms.extend((qid, t, 1) for t in bag)
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(idx, specs, qterms, top_k)
 
 
 # SpanOr queries: (qid, [clause, ...]) — each clause a token-phrase; a doc
@@ -1319,7 +1255,8 @@ def span_or_topk(sf_dir: str, top_k: int = TOP_K):
             for t in toks:
                 tf[t] = tf.get(t, 0) + 1
         qterms.extend((qid, t, n) for t, n in tf.items())
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 def span_not_topk(sf_dir: str, top_k: int = TOP_K):
@@ -1340,7 +1277,8 @@ def span_not_topk(sf_dir: str, top_k: int = TOP_K):
         for t in toks:
             tf[t] = tf.get(t, 0) + 1
         qterms.extend((qid, t, n) for t, n in tf.items())
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 def span_first_topk(sf_dir: str, top_k: int = TOP_K):
@@ -1351,7 +1289,8 @@ def span_first_topk(sf_dir: str, top_k: int = TOP_K):
     specs = [{"qid": qid, "kind": "first", "term": t, "limit": lim}
              for qid, t, lim in SPAN_FIRST_QUERIES]
     qterms = [(qid, t, 1) for qid, t, _ in SPAN_FIRST_QUERIES]
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 # SpanPositionRange queries: (qid, term, lo, hi) — the term occurs at a
@@ -1376,7 +1315,8 @@ def span_range_topk(sf_dir: str, top_k: int = TOP_K):
               "hi": hi}
              for qid, t, lo, hi in SPAN_RANGE_QUERIES]
     qterms = [(qid, t, 1) for qid, t, _, _ in SPAN_RANGE_QUERIES]
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 # MultiPhrase queries: (qid, [[alternatives], ...]) — a consecutive chain
@@ -1410,7 +1350,8 @@ def multi_phrase_topk(sf_dir: str, top_k: int = TOP_K):
             for t in alts:
                 tf[t] = tf.get(t, 0) + 1
         qterms.extend((qid, t, n) for t, n in tf.items())
-    return _positional_ranked(sf_dir, specs, qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir), specs, qterms,
+                           top_k)
 
 
 # SpanContaining / SpanWithin queries: (qid, big_a, big_b, window, little
@@ -1444,7 +1385,8 @@ def span_containing_topk(sf_dir: str, top_k: int = TOP_K):
     qterms = [(qid, t, 1)
               for qid, a, b, _w, _toks in SPAN_CONTAIN_QUERIES
               for t in (a, b)]
-    return _positional_ranked(sf_dir, _span_contain_specs(), qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir),
+                           _span_contain_specs(), qterms, top_k)
 
 
 def span_within_topk(sf_dir: str, top_k: int = TOP_K):
@@ -1459,7 +1401,8 @@ def span_within_topk(sf_dir: str, top_k: int = TOP_K):
         for t in toks:
             tf[t] = tf.get(t, 0) + 1
         qterms.extend((qid, t, n) for t, n in tf.items())
-    return _positional_ranked(sf_dir, _span_contain_specs(), qterms, top_k)
+    return positional_topk(_contract_index_pos(sf_dir),
+                           _span_contain_specs(), qterms, top_k)
 
 
 # Proximity queries: (qid, first-term, second-term, slop) — second term must
@@ -2598,8 +2541,6 @@ def _contract_index_src(sf_dir: str) -> str:
         (os.path.abspath(sf_dir) + ":field=source").encode()
     ).hexdigest()[:12]
     idx = os.path.join("/tmp/splade_ray_contract", key)
-    from .build import fingerprint_files
-
     fp = fingerprint_files(
         [os.path.join(sf_dir, "documents.parquet")]) + "-src"
     build_index(source_field_corpus_ds(sf_dir), idx, lang_tagged=False,
@@ -2849,6 +2790,7 @@ def bm25_topk_merged(sf_dir: str):
                      pa.scalar(parity, pa.int64()))
         )
 
+    fp = fingerprint_files([os.path.join(sf_dir, "documents.parquet")])
     gens, src_fps = [], []
     for parity in (0, 1):
         idx = os.path.join(root, f"gen{parity}")
@@ -2856,7 +2798,8 @@ def bm25_topk_merged(sf_dir: str):
             _parity_filter, batch_format="pyarrow",
             fn_kwargs={"parity": parity},
         )
-        m = build_index(ds, idx, lang_tagged=False, n_shards=8)
+        m = build_index(ds, idx, lang_tagged=False, n_shards=8,
+                        corpus_fp=f"{fp}-parity{parity}")
         gens.append(idx)
         src_fps.append({"corpus_fp": m.get("corpus_fp"), "n_docs": m["n_docs"]})
     merged = os.path.join(root, "merged")
@@ -2916,7 +2859,9 @@ def _deleted_index(sf_dir: str) -> str:
 
     key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
     idx = os.path.join("/tmp/splade_ray_contract_del", key, "base")
-    build_index(corpus_ds(sf_dir), idx, lang_tagged=False, n_shards=8)
+    fp = fingerprint_files([os.path.join(sf_dir, "documents.parquet")])
+    build_index(corpus_ds(sf_dir), idx, lang_tagged=False, n_shards=8,
+                corpus_fp=fp)
     delete_docs(idx, _dead_doc_ids(idx))
     return idx
 

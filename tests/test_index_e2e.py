@@ -16,6 +16,9 @@ from splade_ray.segments import validate_segment
 
 N_FILES = 400
 IDX = "/tmp/splade_ray_test_idx"
+# an in-memory corpus has no file fingerprint; the resume test rebuilds the
+# same corpus, so both builds name it explicitly
+CORPUS_FP = f"generate_corpus-{N_FILES}-seed11"
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +31,7 @@ def index_dir(corpus_table, ray_session):
     shutil.rmtree(IDX, ignore_errors=True)
     ds = rd.from_arrow(corpus_table).repartition(4)
     build_index(ds, IDX, lang_tagged=True, n_shards=8, hot_df_min=40,
-                hot_df_frac=0.05, sample_mod=3)
+                hot_df_frac=0.05, sample_mod=3, corpus_fp=CORPUS_FP)
     return IDX
 
 
@@ -121,7 +124,7 @@ def test_resume_skips_valid_segments(index_dir, corpus_table):
     }
     ds = rd.from_arrow(corpus_table).repartition(4)
     build_index(ds, index_dir, lang_tagged=True, n_shards=8, hot_df_min=40,
-                hot_df_frac=0.05, sample_mod=3)
+                hot_df_frac=0.05, sample_mod=3, corpus_fp=CORPUS_FP)
     for s, t in mtimes.items():
         assert os.path.getmtime(os.path.join(seg_root, s, "manifest.json")) == t
     assert validate_segment(os.path.join(seg_root, victim)) is not None

@@ -223,3 +223,41 @@ def test_changed_corpus_invalidates_checkpoints(ray_session):
     with open(os.path.join(idx, "STAGING.json")) as f:
         assert json.load(f)["corpus_fp"] == m2["corpus_fp"]
     shutil.rmtree(base, ignore_errors=True)
+
+
+@pytest.mark.timeout(300)
+def test_in_memory_corpus_never_resumes_another(ray_session):
+    """An in-memory corpus (from_arrow) has no fingerprint: a build into a
+    dir staged from another corpus starts over instead of resuming it, so
+    the dir ends up with the second corpus's docs — and add_generation into
+    a reused out dir merges the new increment, not the previous one."""
+    import numpy as np
+    import ray.data as rd
+
+    from splade_ray.build import build_index
+    from splade_ray.corpus import generate_corpus
+    from splade_ray.merge import add_generation
+    from splade_ray.oracle import OracleIndex
+    from splade_ray.query import QueryEngine
+
+    base = "/tmp/splade_ray_inmem_test"
+    shutil.rmtree(base, ignore_errors=True)
+    idx, out = os.path.join(base, "idx"), os.path.join(base, "added")
+    tbl = generate_corpus(200, seed=31)
+
+    def want(*parts):
+        return sorted(OracleIndex([r for p in parts for r in p.to_pylist()])
+                      .docs)
+
+    def got(d):
+        eng = QueryEngine(d)
+        return sorted(eng.docs.gather_ids(np.arange(eng.n_docs)).tolist())
+
+    a, b = tbl.slice(0, 60), tbl.slice(60, 90)
+    build_index(rd.from_arrow(a), idx, n_shards=2)
+    m = build_index(rd.from_arrow(b), idx, n_shards=2)
+    assert m["n_docs"] == len(want(b)) and got(idx) == want(b)
+    for inc in (tbl.slice(150, 25), tbl.slice(175, 25)):
+        add_generation(idx, rd.from_arrow(inc), out)
+        assert got(out) == want(b, inc)
+    shutil.rmtree(base, ignore_errors=True)

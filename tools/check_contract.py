@@ -3,13 +3,16 @@
 Runs every ``__ray_entry__.queries()`` entry at the given sf dir, runs the
 matching ``oracle_sql()`` in DuckDB over views of the same parquet tables,
 and compares row count, column-name set, and order-insensitive values
-(sorted by all columns, floats rounded to 9 dp before hashing).
+(sorted by all columns, floats rounded to 9 dp before hashing).  Each
+``PASS``/``pass`` line ends with the sha256 of the entry's canonical rows,
+so two sweeps compare with a plain ``diff`` of their logs.
 
 Usage: python tools/check_contract.py [sf_dir] [name ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 
@@ -50,6 +53,11 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), ignore_index=True)
 
 
+def row_hash(df: pd.DataFrame) -> str:
+    """sha256 of canonical rows (``canon`` output) as CSV text."""
+    return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -79,7 +87,8 @@ def main() -> int:
             failed.append(name)
             continue
         if name not in oracles:
-            print(f"pass {name}: rows-only check, {len(got)} rows")
+            print(f"pass {name}: rows-only check, {len(got)} rows,"
+                  f" sha256 {row_hash(got)}")
             continue
         try:
             want = canon(con.execute(oracles[name]).df())
@@ -100,7 +109,8 @@ def main() -> int:
                             keys=["got", "want"]))
             failed.append(name)
         else:
-            print(f"PASS {name}: {len(got)} rows, {len(got.columns)} cols")
+            print(f"PASS {name}: {len(got)} rows, {len(got.columns)} cols,"
+                  f" sha256 {row_hash(got)}")
     ray.shutdown()
     print("FAILED:" if failed else "ALL PASS", failed or "")
     return 1 if failed else 0
