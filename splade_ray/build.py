@@ -45,10 +45,10 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
-from . import DROP_WS, MASK63
+from . import DROP_WS
 from .analyzer import doc_token_stats
 from .ids import doc_id63_column, hash63_bytes, sha256_hex_column
-from .segments import SegmentBuilder, validate_segment
+from .segments import SegmentBuilder, lex_rank, validate_segment
 
 SCORE_SCALE = 1_000_000_000  # integer score units per 1.0 of BM25 score
 
@@ -226,9 +226,14 @@ def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
                         doclens_ref=None) -> pa.Table:
     """One shuffle partition -> one segment on disk; returns its manifest row.
 
-    Postings are sorted (term, salt, doc_id) and encoded per (term, salt) run.
-    Duplicate (term, salt, doc_id) entries (duplicate input rows) collapse if
-    their tf agrees; a conflicting duplicate raises (doc_id collision check).
+    Array work over the whole partition: the terms get lexicographic ranks
+    (``segments.lex_rank``), and ``SegmentBuilder.add_postings`` sorts the
+    postings by (term rank, salt, doc_id), collapses duplicate (term, salt,
+    doc_id) entries (duplicate input rows) whose tf agrees — a conflicting
+    duplicate raises (doc_id collision check) — and encodes every run in
+    one pass.  Lexicographic dictionary order is a FORMAT INVARIANT (v4):
+    readers binary-search the term column directly, which is what keeps
+    their startup O(1) in vocabulary size.
     """
     if group.num_rows == 0:
         return pa.table({"shard": pa.array([], type=pa.int32())})
@@ -236,70 +241,25 @@ def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
     terms = group["term"]
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
-    enc = pc.dictionary_encode(terms)
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int32)
-    vocab = enc.dictionary.to_pylist()
     import ray as _ray
 
     doclens = _ray.get(doclens_ref) if doclens_ref is not None else None
-    salts = group["salt"].to_numpy(zero_copy_only=False)
-    doc_ids = group["doc_id"].to_numpy(zero_copy_only=False)
-    tfs = group["tf"].to_numpy(zero_copy_only=False)
-    with_pos = "pos" in group.schema.names
-    flat_pos = tfs_orig = None
-    if with_pos:
+    flat_pos = None
+    if "pos" in group.schema.names:
         pos_col = group["pos"]
         if isinstance(pos_col, pa.ChunkedArray):
             pos_col = pos_col.combine_chunks()
         flat_pos = pos_col.flatten().to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        tfs_orig = tfs  # pre-reorder layout: position slices index by it
-    # group runs by (term, salt), doc_id-sorted WITHIN runs — an integer
-    # lexsort over LEXICOGRAPHIC code ranks (one tiny Arrow sort of the
-    # vocab maps first-appearance codes to lex ranks; a whole-table string
-    # sort would cost ~10x).  Lexicographic dictionary order is a FORMAT
-    # INVARIANT (v4): readers binary-search the term column directly, which
-    # is what keeps their startup O(1) in vocabulary size.
-    lex = pc.array_sort_indices(enc.dictionary).to_numpy(zero_copy_only=False)
-    rank = np.empty(len(vocab), dtype=np.int32)
-    rank[lex] = np.arange(len(vocab), dtype=np.int32)
-    order = np.lexsort((doc_ids, salts, rank[codes]))
-    codes, salts, doc_ids = codes[order], salts[order], doc_ids[order]
-    tfs = tfs[order]
-
-    n = len(codes)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.logical_or(codes[1:] != codes[:-1], salts[1:] != salts[:-1], out=change[1:])
-    starts = np.nonzero(change)[0]
-    ends = np.append(starts[1:], n)
-
+    vocab, rank = lex_rank(terms)
     builder = SegmentBuilder(f"seg-{shard:05d}", shard,
-                             with_positions=with_pos)
-    builder.set_lineage(n_input_postings=n)
-    for lo, hi in zip(starts, ends):
-        ids = doc_ids[lo:hi]
-        tf = tfs[lo:hi]
-        keep = np.ones(hi - lo, dtype=bool)
-        if hi - lo > 1:
-            dup = ids[1:] == ids[:-1]
-            if dup.any():
-                if (tf[1:][dup] != tf[:-1][dup]).any():
-                    raise ValueError(
-                        f"doc_id collision (conflicting tf) for term "
-                        f"{vocab[codes[lo]]!r}; widen doc ids"
-                    )
-                keep[1:] = ~dup
-        kept = ids[keep]
-        positions = None
-        if with_pos:
-            # gather the run's per-posting position slices in sorted-kept
-            # order (variable-length slice gather, all vectorized)
-            from .codecs import take_slices
-
-            positions = take_slices(flat_pos, tfs_orig, order[lo:hi][keep])
-        builder.add(vocab[codes[lo]], int(salts[lo]), kept, tf[keep],
-                    doclens[kept], avgdl, positions=positions)
+                             with_positions=flat_pos is not None)
+    builder.set_lineage(n_input_postings=group.num_rows)
+    builder.add_postings(
+        vocab, rank, group["salt"].to_numpy(zero_copy_only=False),
+        group["doc_id"].to_numpy(zero_copy_only=False),
+        group["tf"].to_numpy(zero_copy_only=False), doclens, avgdl,
+        positions=flat_pos)
     manifest = builder.write(os.path.join(index_dir, "segments", f"seg-{shard:05d}"))
     return pa.table(
         {

@@ -5,22 +5,30 @@ Replaces the opaque Milvus ``SPARSE_INVERTED_INDEX`` posting storage
 
   * varbyte (LEB128: little-endian 7-bit groups, MSB = continuation), encoded
     and decoded fully vectorized in numpy (no per-int Python loop);
-  * postings sorted by doc_id, doc ids stored as a single global delta chain
+  * postings sorted by doc_id, doc ids stored as one delta chain per list
     (gap of a block's first posting is taken from the previous block's last
     doc id, so a whole-list decode is one varbyte pass + one cumsum, while a
     skipped-to block can still be decoded alone from ``block_last_docid``);
-  * per posting we store (gap, tf) only — format v3 moved doc lengths out of
-    the postings into the forward ``doclens.bin`` array (ordinal-indexed, one
-    int32 per doc; see segments.py) so the hottest lists carry ~2 bytes per
-    posting.  Doc lengths are still SUPPLIED to ``encode_postings`` at build
-    time to compute the block-max bounds, but are not stored in the blob;
+  * per posting we store (gap, tf) only — doc lengths live in the index's
+    forward ``doclens.bin`` array (ordinal-indexed, one int32 per doc; see
+    segments.py), so the hottest lists carry ~2 bytes per posting.  Doc
+    lengths are still SUPPLIED at encode time for the block-max bounds, but
+    are not stored in the blob;
   * per block of ``BLOCK`` postings: last doc id and an upper bound of the
     BM25 tf-saturation factor (k1+1)*tf / (tf + k1*(1-b+b*dl/avgdl)), rounded
     UP in float32 — the block-max WAND bound.
 
 Block layout in the blob, per block: varbyte(gaps) ++ varbyte(tfs).  No
-intra-block offsets are needed: a varbyte decode of n ints reports consumed
-bytes, so the two streams are read back-to-back.
+intra-block offsets are needed: varbyte is self-delimiting, so the two
+streams are read back-to-back.
+
+Writers work on COLUMNS: ``encode_postings_many`` encodes every (term, salt)
+list of a segment at once (flat ids/tfs/doc lengths plus list starts) with
+gaps and tfs placed block-interleaved by index arithmetic, ONE varbyte pass,
+and block sizes, bounds and last ids from cumsums and ``reduceat``;
+``encode_positions`` takes any number of lists the same way, and
+``decode_runs`` inverts a whole segment blob.  ``encode_postings`` is the
+one-list wrapper.
 """
 
 from __future__ import annotations
@@ -36,15 +44,15 @@ BLOCK = 128  # postings per block
 
 # ---------------------------------------------------------------- varbyte ---
 
-def vb_encode(values: np.ndarray) -> np.ndarray:
-    """Varbyte-encode a uint64 ndarray -> uint8 ndarray (vectorized)."""
+def _vb_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Varbyte-encode -> (uint8 bytes, int64 byte count of each value)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     n = len(v)
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
     nb = np.ones(n, dtype=np.int64)
+    if n == 0:
+        return np.empty(0, dtype=np.uint8), nb
     for k in range(1, 10):  # 64 bits -> at most 10 groups of 7
-        nb += (v >= np.uint64(1) << np.uint64(7 * k)).astype(np.int64)
+        nb += v >= np.uint64(1) << np.uint64(7 * k)
     offs = np.zeros(n, dtype=np.int64)
     np.cumsum(nb[:-1], out=offs[1:])
     out = np.zeros(int(nb.sum()), dtype=np.uint8)
@@ -53,15 +61,20 @@ def vb_encode(values: np.ndarray) -> np.ndarray:
         byte = (v[m] >> np.uint64(7 * j)).astype(np.uint64) & np.uint64(0x7F)
         cont = (nb[m] - 1 > j).astype(np.uint8) << 7
         out[offs[m] + j] = byte.astype(np.uint8) | cont
-    return out
+    return out, nb
+
+
+def vb_encode(values: np.ndarray) -> np.ndarray:
+    """Varbyte-encode a uint64 ndarray -> uint8 ndarray (vectorized)."""
+    return _vb_encode(values)[0]
 
 
 def vb_decode_all(buf: np.ndarray) -> np.ndarray:
     """Decode EVERY varbyte int in ``buf`` in one vectorized pass.
 
     Varbyte is self-delimiting, so a whole multi-stream region can be decoded
-    at once and re-split by known counts — this is the query-path fast path
-    (one numpy pass per posting list instead of 3 calls per 128-block)."""
+    at once and re-split by known counts — one numpy pass per posting list,
+    block range or whole segment."""
     b = np.ascontiguousarray(buf)  # materialize mmap slice once
     ends = np.nonzero((b & 0x80) == 0)[0]
     n = len(ends)
@@ -78,24 +91,40 @@ def vb_decode_all(buf: np.ndarray) -> np.ndarray:
     return vals
 
 
-def vb_decode(buf: np.ndarray, n: int, start: int = 0) -> tuple[np.ndarray, int]:
-    """Decode ``n`` varbyte ints from ``buf[start:]`` (vectorized).
+def _values(region: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` varbyte ints of ``region``.  Fast path: ``n`` bytes means
+    every value is one byte (the overwhelmingly common case with dense
+    ordinals) — the bytes ARE the values.  Otherwise one vectorized pass."""
+    vals = np.ascontiguousarray(region)
+    if len(vals) != n:
+        vals = vb_decode_all(vals)
+        if len(vals) != n:
+            raise ValueError(f"corrupt region: {len(vals)} ints, expected {n}")
+    return vals
 
-    Returns (values uint64[n], bytes consumed)."""
-    if n == 0:
-        return np.empty(0, dtype=np.uint64), 0
-    view = buf[start:]
-    term = np.nonzero((view & 0x80) == 0)[0]
-    ends = term[:n]
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    vals = np.zeros(n, dtype=np.uint64)
-    for j in range(int(lengths.max())):
-        m = lengths > j
-        vals[m] |= (view[starts[m] + j].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * j)
-    return vals, int(ends[n - 1] + 1)
+
+def _chain_sums(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Undo delta chains that restart every ``counts[i]`` values (counts
+    >= 1): one global cumsum minus the running total accumulated before
+    each chain's start -> int64."""
+    csum = np.cumsum(deltas, dtype=np.uint64)
+    counts = np.asarray(counts, dtype=np.int64)
+    base = np.zeros(len(counts), dtype=np.uint64)
+    if len(counts) > 1:
+        base[1:] = csum[np.cumsum(counts[:-1]) - 1]
+    return (csum - np.repeat(base, counts)).astype(np.int64)
+
+
+def _interleave_index(block_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value slots of block-interleaved (gaps ++ tfs) postings -> (gap slot,
+    tf slot) per posting.  A block of ``c`` postings starting at posting
+    ``s`` fills slots [2s, 2s + 2c): posting ``i`` has its gap at ``s + i``
+    and its tf ``c`` slots later."""
+    bc = np.asarray(block_count, dtype=np.int64)
+    bstart = np.zeros(len(bc), dtype=np.int64)
+    np.cumsum(bc[:-1], out=bstart[1:])
+    gap = np.repeat(bstart, bc) + np.arange(int(bc.sum()), dtype=np.int64)
+    return gap, gap + np.repeat(bc, bc)
 
 
 # ----------------------------------------------------------- posting list ---
@@ -113,6 +142,22 @@ class PostingMeta:
     block_max_tfsat: np.ndarray  # float32 per block (safe upper bound)
 
 
+@dataclass
+class PostingColumns:
+    """``PostingMeta`` of many lists as columns: list ``r`` has ``df[r]``,
+    ``cf[r]``, ``nbytes[r]`` and blocks
+    ``block_*[block_offsets[r]:block_offsets[r + 1]]``."""
+
+    df: np.ndarray  # int64 per list
+    cf: np.ndarray  # int64 per list
+    nbytes: np.ndarray  # int64 per list
+    block_offsets: np.ndarray  # int64, one more than lists
+    block_count: np.ndarray  # int32 per block
+    block_nbytes: np.ndarray  # int32 per block
+    block_last_docid: np.ndarray  # int64 per block
+    block_max_tfsat: np.ndarray  # float32 per block
+
+
 def tf_saturation(tf: np.ndarray, dl: np.ndarray, avgdl: float) -> np.ndarray:
     """BM25 per-posting factor (k1+1)*tf / (tf + k1*(1-b+b*dl/avgdl)), f64."""
     tf = tf.astype(np.float64)
@@ -120,150 +165,117 @@ def tf_saturation(tf: np.ndarray, dl: np.ndarray, avgdl: float) -> np.ndarray:
     return (K1 + 1.0) * tf / denom
 
 
+def encode_postings_many(
+    ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
+    run_starts: np.ndarray, avgdl: float,
+) -> tuple[np.ndarray, PostingColumns]:
+    """Encode consecutive posting lists in one pass -> (blob, columns).
+
+    List ``r`` is postings [run_starts[r], run_starts[r + 1]) of the flat
+    ``ids``/``tfs``/``dls`` (the last runs to the end), doc_id-sorted and
+    unique within the list.  The blob is the lists' blobs back to back,
+    byte-identical to encoding each alone.  ``dls`` (per-posting doc
+    lengths) feed the block-max bounds but are NOT stored."""
+    ids = np.ascontiguousarray(ids, dtype=np.uint64)
+    tfs = np.asarray(tfs, dtype=np.int64)
+    starts = np.asarray(run_starts, dtype=np.int64)
+    n = len(ids)
+    df = np.diff(np.append(starts, n))
+    if (len(starts) and starts[0] != 0) or (n and not len(starts)) \
+            or (df <= 0).any():
+        raise ValueError("run_starts must start at 0 and rise strictly")
+    first = np.zeros(n, dtype=bool)
+    first[starts] = True
+    if n > 1 and (~first[1:] & (ids[1:] <= ids[:-1])).any():
+        raise ValueError("postings must be strictly doc_id-sorted")
+    gaps = np.empty(n, dtype=np.uint64)
+    if n:
+        gaps[0] = ids[0]
+        np.subtract(ids[1:], ids[:-1], out=gaps[1:])
+        gaps[starts] = ids[starts]  # each list's chain starts absolute
+    # blocks of BLOCK postings, the last of each list possibly short
+    n_blocks = (df + BLOCK - 1) // BLOCK
+    block_offsets = np.zeros(len(df) + 1, dtype=np.int64)
+    np.cumsum(n_blocks, out=block_offsets[1:])
+    run = np.repeat(np.arange(len(df)), n_blocks)
+    bstart = starts[run] + BLOCK * (
+        np.arange(block_offsets[-1], dtype=np.int64) - block_offsets[run])
+    bend = np.minimum(bstart + BLOCK, (starts + df)[run])
+    vals = np.empty(2 * n, dtype=np.uint64)
+    gap_slot, tf_slot = _interleave_index(bend - bstart)
+    vals[gap_slot] = gaps
+    vals[tf_slot] = tfs
+    blob, nb = _vb_encode(vals)
+    # block b's values are slots [2*bstart, 2*bend): byte counts by cumsum
+    nb_csum = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(nb, out=nb_csum[1:])
+    # float32 round-up so the f32 bound is >= the f64 truth
+    m64 = np.maximum.reduceat(tf_saturation(tfs, np.asarray(dls), avgdl),
+                              bstart)
+    block_max = m64.astype(np.float32)
+    low = block_max.astype(np.float64) < m64
+    block_max[low] = np.nextafter(block_max[low], np.float32(np.inf))
+    return blob, PostingColumns(
+        df=df,
+        cf=np.add.reduceat(tfs, starts),
+        nbytes=nb_csum[2 * (starts + df)] - nb_csum[2 * starts],
+        block_offsets=block_offsets,
+        block_count=(bend - bstart).astype(np.int32),
+        block_nbytes=(nb_csum[2 * bend] - nb_csum[2 * bstart]).astype(np.int32),
+        block_last_docid=ids[bend - 1].astype(np.int64),
+        block_max_tfsat=block_max,
+    )
+
+
 def encode_postings(
     doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray, avgdl: float
 ) -> tuple[np.ndarray, PostingMeta]:
-    """Encode one term's postings (doc_id-sorted, unique) into a blob + meta.
+    """Encode one term's postings (doc_id-sorted, unique) into a blob + meta:
+    ``encode_postings_many`` with a single list."""
+    if not len(doc_ids):
+        raise ValueError("empty posting list")
+    blob, c = encode_postings_many(doc_ids, tfs, dls, [0], avgdl)
+    return blob, PostingMeta(
+        df=int(c.df[0]), cf=int(c.cf[0]), nbytes=len(blob),
+        block_count=c.block_count, block_nbytes=c.block_nbytes,
+        block_last_docid=c.block_last_docid,
+        block_max_tfsat=c.block_max_tfsat)
 
-    ``dls`` (per-posting doc lengths) feed the block-max score bounds but
-    are NOT stored — with dense doc ordinals, doc lengths live once in the
-    index's forward array (doclens.bin) and are gathered at query time.
-    Block layout: varbyte(gaps) ++ varbyte(tfs)."""
-    df = len(doc_ids)
-    assert df > 0
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
-    gaps = np.empty(df, dtype=np.uint64)
-    gaps[0] = doc_ids[0]
-    np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
-    if df > 1 and (doc_ids[1:] <= doc_ids[:-1]).any():
-        raise ValueError("postings must be strictly doc_id-sorted")
-    n_blocks = (df + BLOCK - 1) // BLOCK
-    chunks: list[np.ndarray] = []
-    block_count = np.empty(n_blocks, dtype=np.int32)
-    block_nbytes = np.empty(n_blocks, dtype=np.int32)
-    block_last = np.empty(n_blocks, dtype=np.int64)
-    block_max = np.empty(n_blocks, dtype=np.float32)
-    sat = tf_saturation(np.asarray(tfs), np.asarray(dls), avgdl)
-    for i in range(n_blocks):
-        lo, hi = i * BLOCK, min((i + 1) * BLOCK, df)
-        enc = np.concatenate(
-            [
-                vb_encode(gaps[lo:hi]),
-                vb_encode(np.asarray(tfs[lo:hi], dtype=np.uint64)),
-            ]
-        )
-        chunks.append(enc)
-        block_count[i] = hi - lo
-        block_nbytes[i] = len(enc)
-        block_last[i] = int(doc_ids[hi - 1])
-        # float32 round-up so the f32 bound is >= the f64 truth
-        m = np.float32(sat[lo:hi].max())
-        if float(m) < float(sat[lo:hi].max()):
-            m = np.nextafter(m, np.float32(np.inf))
-        block_max[i] = m
-    blob = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
-    meta = PostingMeta(
-        df=df,
-        cf=int(np.asarray(tfs, dtype=np.uint64).sum()),
-        nbytes=len(blob),
-        block_count=block_count,
-        block_nbytes=block_nbytes,
-        block_last_docid=block_last,
-        block_max_tfsat=block_max,
-    )
-    return blob, meta
+
+def decode_runs(blob: np.ndarray, run_df: np.ndarray,
+                block_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode consecutive posting lists (a whole segment's postings.bin) in
+    one pass -> (doc_ids int64, tfs int32), list after list.  ``run_df`` is
+    each list's df and ``block_count`` every list's blocks, flat."""
+    run_df = np.asarray(run_df, dtype=np.int64)
+    n = int(run_df.sum())
+    gap_slot, tf_slot = _interleave_index(block_count)
+    if len(gap_slot) != n:
+        raise ValueError(
+            f"block counts cover {len(gap_slot)} postings, lists hold {n}")
+    vals = _values(blob, 2 * n)
+    return _chain_sums(vals[gap_slot], run_df), vals[tf_slot].astype(np.int32)
 
 
 def decode_postings(blob: np.ndarray, meta: PostingMeta) -> tuple[np.ndarray, np.ndarray]:
-    """Full-list decode -> (doc_ids int64, tfs int32).
-
-    Fast path: a region whose byte count equals 2x its posting count has
-    every gap and tf in one byte (the overwhelmingly common case with dense
-    ordinals) — the bytes ARE the values, decoded by two slices.  Otherwise
-    one vectorized varbyte pass + per-block re-split."""
-    df = meta.df
-    nbytes = int(meta.block_nbytes.sum())
-    region = blob[:nbytes]
-    if nbytes == 2 * df and not bool((meta.block_nbytes != 2 * meta.block_count).any()):
-        b = np.ascontiguousarray(region)
-        gaps = np.empty(df, dtype=np.uint64)
-        tfs = np.empty(df, dtype=np.uint64)
-        pos = ipos = 0
-        for n in meta.block_count:
-            n = int(n)
-            gaps[pos : pos + n] = b[ipos : ipos + n]
-            tfs[pos : pos + n] = b[ipos + n : ipos + 2 * n]
-            pos += n
-            ipos += 2 * n
-        doc_ids = np.cumsum(gaps, dtype=np.uint64).astype(np.int64)
-        return doc_ids, tfs.astype(np.int32)
-    ints = vb_decode_all(region)
-    if len(ints) != 2 * df:
-        raise ValueError(f"corrupt posting region: {len(ints)} ints, df={df}")
-    gaps = np.empty(df, dtype=np.uint64)
-    tfs = np.empty(df, dtype=np.uint64)
-    pos = ipos = 0
-    for n in meta.block_count:
-        n = int(n)
-        gaps[pos : pos + n] = ints[ipos : ipos + n]
-        tfs[pos : pos + n] = ints[ipos + n : ipos + 2 * n]
-        pos += n
-        ipos += 2 * n
-    doc_ids = np.cumsum(gaps, dtype=np.uint64).astype(np.int64)
-    return doc_ids, tfs.astype(np.int32)
+    """Full-list decode -> (doc_ids int64, tfs int32)."""
+    return decode_block_range(blob, meta, 0, len(meta.block_count))
 
 
 def decode_postings_many(
     parts: list[tuple[np.ndarray, "PostingMeta"]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode several posting regions (e.g. one term's salted sub-lists across
-    segments), returning the concatenation in part order.  All-1-byte parts
-    take the reshape fast path; the rest share a single varbyte pass."""
+    segments), returning the concatenation in part order: the regions back
+    to back are consecutive lists, decoded in one pass."""
     if len(parts) == 1:
         return decode_postings(parts[0][0], parts[0][1])
-    total_df = sum(m.df for _, m in parts)
-    gaps = np.empty(total_df, dtype=np.uint64)
-    tfs = np.empty(total_df, dtype=np.uint64)
-    piece_start = []
-    slow: list[tuple[int, np.ndarray, "PostingMeta"]] = []
-    pos = 0
-    for b, m in parts:
-        piece_start.append(pos)
-        nbytes = int(m.block_nbytes.sum())
-        if nbytes == 2 * m.df and not bool(
-            (m.block_nbytes != 2 * m.block_count).any()
-        ):
-            by = np.ascontiguousarray(b[:nbytes])
-            p = pos
-            ip = 0
-            for n in m.block_count:
-                n = int(n)
-                gaps[p : p + n] = by[ip : ip + n]
-                tfs[p : p + n] = by[ip + n : ip + 2 * n]
-                p += n
-                ip += 2 * n
-        else:
-            slow.append((pos, b[:nbytes], m))
-        pos += m.df
-    if slow:
-        ints = vb_decode_all(np.concatenate([np.ascontiguousarray(b) for _, b, _ in slow]))
-        ipos = 0
-        for p, _, m in slow:
-            for n in m.block_count:
-                n = int(n)
-                gaps[p : p + n] = ints[ipos : ipos + n]
-                tfs[p : p + n] = ints[ipos + n : ipos + 2 * n]
-                p += n
-                ipos += 2 * n
-    # per-piece delta chains: global cumsum, then subtract the running total
-    # accumulated before each piece start
-    csum = np.cumsum(gaps, dtype=np.uint64)
-    starts = np.asarray(piece_start, dtype=np.int64)
-    base = np.zeros(len(parts), dtype=np.uint64)
-    base[1:] = csum[starts[1:] - 1]
-    counts = np.diff(np.append(starts, total_df))
-    doc_ids = (csum - np.repeat(base, counts)).astype(np.int64)
-    return doc_ids, tfs.astype(np.int32)
+    if not parts:  # a term no segment holds
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+    gaps, tfs = _split_blocks(
+        np.concatenate([b[: m.nbytes] for b, m in parts]),
+        np.concatenate([m.block_count for _, m in parts]))
+    return _chain_sums(gaps, [m.df for _, m in parts]), tfs.astype(np.int32)
 
 
 # ----------------------------------------------------------- positions ---
@@ -282,12 +294,15 @@ def decode_postings_many(
 def encode_positions(
     tfs: np.ndarray, flat_pos: np.ndarray, block_count: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode one term's per-posting position lists -> (blob, block_pos_nbytes).
+    """Encode per-posting position lists -> (blob, block_pos_nbytes).
 
     ``flat_pos``: positions of all postings concatenated in posting order,
     strictly ascending within each posting; ``tfs`` gives the per-posting
     counts; ``block_count`` is the posting-block layout (PostingMeta) the
-    regions must align with."""
+    regions must align with.  Every posting's chain starts absolute, so one
+    call encodes one list or a whole segment's lists (their
+    ``block_count``s flat) alike: the blob is the lists' blobs back to
+    back."""
     tfs = np.asarray(tfs, dtype=np.int64)
     total = int(tfs.sum())
     if total != len(flat_pos):
@@ -303,13 +318,9 @@ def encode_positions(
         starts = np.zeros(len(tfs), dtype=np.int64)
         np.cumsum(tfs[:-1], out=starts[1:])
         deltas[starts] = pos[starts]
-    # ONE global varbyte pass; per-block region sizes come from the per-value
-    # byte counts (same formula vb_encode uses), segment-summed per block —
-    # no per-block encode calls (a hot term has df/128 blocks)
-    blob = vb_encode(deltas)
-    nb = np.ones(total, dtype=np.int64)
-    for k in range(1, 10):
-        nb += (deltas >= np.uint64(1) << np.uint64(7 * k)).astype(np.int64)
+    # ONE global varbyte pass; per-block region sizes are the per-value
+    # byte counts segment-summed per block — no per-block encode calls
+    blob, nb = _vb_encode(deltas)
     # block i's region covers the positions of its postings: cumulative
     # position count at each block end -> cumulative byte count -> diff
     bc = np.asarray(block_count, dtype=np.int64)
@@ -336,30 +347,16 @@ def decode_positions_range(
     """Decode position lists for posting blocks [b_lo, b_hi) -> flat int64
     positions (per-posting counts = ``tfs``, the tfs decoded from the SAME
     block range).  Each block's region is self-contained (first delta of a
-    posting is absolute), so any contiguous range decodes alone."""
+    posting is absolute), so any contiguous range decodes alone — including
+    every block of a whole segment's sidecar."""
     tfs = np.asarray(tfs, dtype=np.int64)
     total = int(tfs.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
     off = int(block_pos_nbytes[:b_lo].sum())
     nbytes = int(block_pos_nbytes[b_lo:b_hi].sum())
-    region = np.ascontiguousarray(blob[off : off + nbytes])
-    if nbytes == total:  # every delta one byte — the bytes ARE the deltas
-        deltas = region.astype(np.uint64)
-    else:
-        deltas = vb_decode_all(region)
-        if len(deltas) != total:
-            raise ValueError(
-                f"corrupt position region: {len(deltas)} ints, expected {total}"
-            )
-    # undo per-posting delta chains: global cumsum minus the running total
-    # accumulated before each posting start (decode_postings_many's trick)
-    csum = np.cumsum(deltas, dtype=np.uint64)
-    starts = np.zeros(len(tfs), dtype=np.int64)
-    np.cumsum(tfs[:-1], out=starts[1:])
-    base = np.zeros(len(tfs), dtype=np.uint64)
-    base[1:] = csum[starts[1:] - 1]
-    return (csum - np.repeat(base, tfs)).astype(np.int64)
+    deltas = _values(blob[off : off + nbytes], total)
+    return _chain_sums(deltas, tfs)
 
 
 def take_slices(flat: np.ndarray, counts: np.ndarray,
@@ -384,17 +381,22 @@ def take_slices(flat: np.ndarray, counts: np.ndarray,
     return flat[idx]
 
 
-def decode_block(
-    blob: np.ndarray, meta: PostingMeta, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode block ``i`` alone (for WAND skipping) -> (doc_ids, tfs)."""
-    off = int(meta.block_nbytes[:i].sum())
-    n = int(meta.block_count[i])
-    g, c1 = vb_decode(blob, n, off)
-    t, _ = vb_decode(blob, n, off + c1)
-    base = np.uint64(meta.block_last_docid[i - 1]) if i > 0 else np.uint64(0)
-    doc_ids = (base + np.cumsum(g, dtype=np.uint64)).astype(np.int64)
-    return doc_ids, t.astype(np.int32)
+def _split_blocks(region: np.ndarray,
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gaps, tfs) as uint64 of back-to-back blocks of ``counts`` postings,
+    each block varbyte(gaps) ++ varbyte(tfs), split by slices — they beat
+    an index gather for the few blocks of one query term's lists."""
+    total = int(counts.sum())
+    vals = _values(region, 2 * total)
+    gaps = np.empty(total, dtype=np.uint64)
+    tfs = np.empty(total, dtype=np.uint64)
+    p = 0
+    for n in counts:
+        n = int(n)
+        gaps[p : p + n] = vals[2 * p : 2 * p + n]
+        tfs[p : p + n] = vals[2 * p + n : 2 * p + 2 * n]
+        p += n
+    return gaps, tfs
 
 
 def decode_block_range(
@@ -402,43 +404,16 @@ def decode_block_range(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode the contiguous blocks [b_lo, b_hi) in one pass -> (ids, tfs).
 
-    The global delta chain makes any contiguous range self-contained given
-    the previous block's last doc id (``block_last_docid[b_lo-1]``) — this is
+    The delta chain makes any contiguous range self-contained given the
+    previous block's last doc id (``block_last_docid[b_lo-1]``) — this is
     the decode-on-demand primitive behind the block-max scorer: only blocks
     whose upper bound survives pruning ever get decoded."""
     if b_hi <= b_lo:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-    off = int(meta.block_nbytes[:b_lo].sum())
-    nbytes = int(meta.block_nbytes[b_lo:b_hi].sum())
-    counts = meta.block_count[b_lo:b_hi]
-    total = int(counts.sum())
-    region = blob[off : off + nbytes]
-    gaps = np.empty(total, dtype=np.uint64)
-    tfs = np.empty(total, dtype=np.uint64)
-    if nbytes == 2 * total and not bool(
-        (meta.block_nbytes[b_lo:b_hi] != 2 * counts).any()
-    ):
-        by = np.ascontiguousarray(region)
-        p = ip = 0
-        for n in counts:
-            n = int(n)
-            gaps[p : p + n] = by[ip : ip + n]
-            tfs[p : p + n] = by[ip + n : ip + 2 * n]
-            p += n
-            ip += 2 * n
-    else:
-        ints = vb_decode_all(np.ascontiguousarray(region))
-        if len(ints) != 2 * total:
-            raise ValueError(
-                f"corrupt block range: {len(ints)} ints, expected {2 * total}"
-            )
-        p = ip = 0
-        for n in counts:
-            n = int(n)
-            gaps[p : p + n] = ints[ip : ip + n]
-            tfs[p : p + n] = ints[ip + n : ip + 2 * n]
-            p += n
-            ip += 2 * n
+    bn = meta.block_nbytes
+    off = int(bn[:b_lo].sum()) if b_lo else 0
+    gaps, tfs = _split_blocks(blob[off : off + int(bn[b_lo:b_hi].sum())],
+                              meta.block_count[b_lo:b_hi])
     base = np.uint64(meta.block_last_docid[b_lo - 1]) if b_lo > 0 else np.uint64(0)
     doc_ids = (base + np.cumsum(gaps, dtype=np.uint64)).astype(np.int64)
     return doc_ids, tfs.astype(np.int32)

@@ -48,6 +48,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from .codecs import take_slices
 from .docmap import (RANGES_NAME, SHARD_DIR, open_doc_arrays,
                      sorted_member)
 from .segments import SegmentBuilder, SegmentReader, validate_segment
@@ -319,20 +320,20 @@ def tombstones_fingerprint(index_dir: str) -> str | None:
 
 def _compact_seg_batch(t: pa.Table, *, src_index: str, src_root: str,
                        out_root: str, avgdl: float, tomb_ref) -> pa.Table:
-    """One task per segment: decode each (term, salt) list, drop dead
-    ordinals, remap survivors (o -> o - count(tomb <= o)), re-encode with
-    the compacted avgdl.  Terms whose postings all die are dropped from
-    the dictionary (df reflects live docs only).  Doc LENGTHS are
-    unchanged by deletion, so each worker gathers them from the source
-    index's memmapped forward arrays at the OLD ordinals — the only
-    broadcast object is the O(|deleted|) tombstone array."""
+    """One task per segment, as array work over the whole segment: one
+    decode of every (term, salt) list (``SegmentReader.decode_all``), one
+    ``sorted_member`` mask of dead ordinals, one ``searchsorted`` remap of
+    the survivors (o -> o - count(tomb <= o)), one re-encode with the
+    compacted avgdl.  Rows whose postings all die are dropped from the
+    dictionary (df reflects live docs only).  Doc LENGTHS are unchanged by
+    deletion, so each worker gathers them from the source index's
+    memmapped forward arrays at the OLD ordinals — the only broadcast
+    object is the O(|deleted|) tombstone array."""
     import ray
 
     tomb = ray.get(tomb_ref)  # sorted dead ordinals, O(|deleted|)
     src_docs = open_doc_arrays(src_index)
     out = {"shard": [], "n_terms": [], "n_postings": []}
-    from .codecs import take_slices
-
     for row in t.to_pylist():
         shard = int(row["shard"])
         seg_id = row["segment_id"]
@@ -344,24 +345,26 @@ def _compact_seg_batch(t: pa.Table, *, src_index: str, src_root: str,
         # against the same tombstones (compact_index's todo filter)
         builder.set_lineage(compacted_from=seg_id, n_tombstones=len(tomb),
                             tombstones_fp=row["tombstones_fp"])
-        for i in range(reader.dict.num_rows):
-            ids, tfs = reader.postings_at(i)
-            # empty tomb => all-False mask: compacting a tombstone-free
-            # index is a plain re-encode
-            dead, _ = sorted_member(tomb, ids)
-            if dead.all() and len(ids):
-                continue
-            live, tfs_l = ids[~dead], tfs[~dead]
-            new_ids = live - np.searchsorted(tomb, live, side="left")
-            positions = None
-            if reader.has_positions:
-                # within-doc positions survive deletion untouched; only the
-                # dead postings' slices drop
-                positions = take_slices(reader.positions_at(i, tfs), tfs,
-                                        np.flatnonzero(~dead))
-            builder.add(reader.term_at(i), int(reader.salt[i]),
-                        new_ids, tfs_l, src_docs.gather_lens(live), avgdl,
-                        positions=positions)
+        row_starts, ids, tfs, pos = reader.decode_all()
+        # empty tomb => all-False mask: compacting a tombstone-free index
+        # is a plain re-encode
+        live = ~sorted_member(tomb, ids)[0]
+        live_csum = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(live, out=live_csum[1:])
+        live_df = np.diff(live_csum[row_starts])
+        keep = live_df > 0
+        run_starts = np.zeros(int(keep.sum()), dtype=np.int64)
+        np.cumsum(live_df[keep][:-1], out=run_starts[1:])
+        live_ids = ids[live]
+        if pos is not None:
+            # within-doc positions survive deletion untouched; only the
+            # dead postings' slices drop
+            pos = take_slices(pos, tfs, np.flatnonzero(live))
+        builder.add_many(reader._terms.filter(pa.array(keep)),
+                         reader.salt[keep],
+                         live_ids - np.searchsorted(tomb, live_ids, side="left"),
+                         tfs[live], src_docs.gather_lens(live_ids), run_starts,
+                         avgdl, positions=pos)
         m = builder.write(os.path.join(out_root, seg_id))
         out["shard"].append(shard)
         out["n_terms"].append(m["n_terms"])

@@ -70,15 +70,3 @@ def hash63_bytes(data: bytes) -> int:
     """Generic 63-bit hash of bytes via sha256 prefix (SQL-reproducible)."""
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big") & MASK63
 
-
-def term_shard(terms: list[str], n_shards: int, salts: list[int] | None = None) -> np.ndarray:
-    """Shard assignment for (term[, salt]) keys: sha256-based, stable across
-    runs and machines (never Python's randomized ``hash``)."""
-    out = np.empty(len(terms), dtype=np.int64)
-    if salts is None:
-        for i, t in enumerate(terms):
-            out[i] = hash63_bytes(t.encode()) % n_shards
-    else:
-        for i, (t, s) in enumerate(zip(terms, salts)):
-            out[i] = hash63_bytes(t.encode() + b"#" + str(s).encode()) % n_shards
-    return out

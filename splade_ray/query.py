@@ -1662,11 +1662,11 @@ class QueryEngine:
         and the single float division re-derives bit-identically at any
         shard count.  Hits lacking the weight term contribute 0 to both
         sums (ES skips docs whose weight field is missing).  On a
-        lang-tagged index the weight term is the first LANGUAGE VARIANT
-        of the first token (per-field weights are per-variant, like
-        per-variant df); the SQL twin covers the untagged shape.
-        Returns (n_hits, sum_w, sum_wv); the caller derives the average
-        and drops den == 0 rows (the SQL HAVING twin)."""
+        lang-tagged index a hit's weight is the tf of the first token's
+        variant in the hit's OWN language: every variant's postings are
+        gathered and merged (a doc has one language, so they are
+        disjoint).  Returns (n_hits, sum_w, sum_wv); the caller derives
+        the average and drops den == 0 rows (the SQL HAVING twin)."""
         qterms = self._query_terms(query, lang)
         if not qterms:
             return 0, 0, 0
@@ -1674,11 +1674,18 @@ class QueryEngine:
         ords = ords[units > 0]
         if not len(ords):
             return 0, 0, 0
-        wterm = next(iter(qterms))
-        if not self._term_refs(wterm)[0]:
+        def token(term):
+            return term.partition(LANG_SEP)[2] if self.lang_tagged else term
+
+        tok = token(next(iter(qterms)))
+        parts = [self._gather(t)[:2] for t in qterms
+                 if token(t) == tok and self._term_refs(t)[0]]
+        if not parts:
             return int(len(ords)), 0, 0
-        wi, wt, _ = self._gather(wterm)
-        # align the weight term's postings with the hit set — both are
+        wi = np.concatenate([p[0] for p in parts])
+        order = np.argsort(wi, kind="stable")
+        wi, wt = wi[order], np.concatenate([p[1] for p in parts])[order]
+        # align the weight postings with the hit set — both are
         # doc-ordinal-sorted, one searchsorted pass
         pos = np.searchsorted(wi, ords)
         pos_ok = pos < len(wi)

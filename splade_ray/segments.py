@@ -8,16 +8,22 @@ layout:
     seg-XXXXX/
       dict.parquet   term, salt, df, cf, offset, nbytes, block_count,
                      block_nbytes, block_last_docid, block_max_tfsat
-      postings.bin   concatenated per-(term,salt) varbyte blobs (codecs.py)
+                     (+ pos_offset, pos_nbytes, block_pos_nbytes)
+      postings.bin   per-(term,salt) varbyte blobs back to back (codecs.py)
+      positions.bin  optional positional sidecar, same row order
       manifest.json  segment_id, shard, n_terms, n_postings, sum_tf,
                      postings_sha256, input lineage, format_version
 
-Writes are atomic (tmp dir + os.replace, manifest written last) so a killed
-build never leaves a half-segment that passes validation; a rerun skips every
-shard whose manifest validates (build.py).  ``merge_segments`` is the
-log-structured merge: k segments -> one, posting lists of the same
-(term, salt) unioned by doc_id with duplicate (doc_id) entries collapsed
-(equal tf asserted), which makes merge idempotent: merge(a, a) == a.
+All three writers (build.build_segment_group, ``merge_segments``,
+delete._compact_seg_batch) share one column path: ``SegmentBuilder``'s
+``add_postings`` forms the (term, salt) lists by one lexsort and collapses
+duplicate (term, salt, doc_id) postings (equal tf asserted, so merge is
+idempotent: merge(a, a) == a), ``add_many`` encodes them in one
+``codecs.encode_postings_many`` pass, ``write`` builds dict.parquet from the
+columns; merge and compaction read each input by one
+``SegmentReader.decode_all``.  Writes are atomic (tmp dir + os.replace,
+manifest written last) so a killed build never leaves a half-segment that
+passes validation; a rerun skips every shard whose manifest validates.
 
 ``SegmentReader`` never builds one Python object per dictionary row: term
 lookups bisect the term column's raw UTF-8 buffer (UTF-8 byte order equals
@@ -35,10 +41,12 @@ from functools import cached_property
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .codecs import (PostingMeta, decode_positions_range, decode_postings,
-                     encode_positions, encode_postings)
+                     decode_runs, encode_positions, encode_postings_many,
+                     take_slices)
 
 # v3: ordinal postings, doc_len in the forward doclens.bin array
 # v4: dictionary rows sorted lexicographically by (term, salt) — readers
@@ -59,6 +67,11 @@ DICT_SCHEMA = pa.schema(
         ("block_max_tfsat", pa.list_(pa.float32())),
     ]
 )
+POS_DICT_SCHEMA = pa.schema(list(DICT_SCHEMA) + [
+    ("pos_offset", pa.int64()), ("pos_nbytes", pa.int64()),
+    ("block_pos_nbytes", pa.list_(pa.int32()))])
+_BLOCK_COLS = ("block_count", "block_nbytes", "block_last_docid",
+               "block_max_tfsat")
 
 
 def _utf8(s: str) -> bytes:
@@ -86,103 +99,150 @@ def _list_view(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     return offs, vals
 
 
+def lex_rank(terms: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """(vocab, rank): the distinct ``terms`` in lexicographic (UTF-8 byte)
+    order and each element's position in it — one dictionary encode plus a
+    sort of the distinct terms, never a sort of every string."""
+    enc = pc.dictionary_encode(terms)
+    lex = pc.array_sort_indices(enc.dictionary).to_numpy(zero_copy_only=False)
+    rank = np.empty(len(lex), dtype=np.int32)
+    rank[lex] = np.arange(len(lex), dtype=np.int32)
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    return enc.dictionary.take(pa.array(lex)), rank[codes]
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """[0, s0, s0+s1, ...]: where each of ``sizes`` starts, plus the end."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
 class SegmentBuilder:
-    """Accumulates encoded posting lists, then writes one segment atomically."""
+    """Collects posting lists as columns (``add_postings``, ``add_many``,
+    one-list ``add``), then writes one segment atomically."""
 
     def __init__(self, segment_id: str, shard: int,
                  with_positions: bool = False):
         self.segment_id = segment_id
         self.shard = shard
         self.with_positions = with_positions
-        self._terms: list[str] = []
-        self._salts: list[int] = []
-        self._metas: list[PostingMeta] = []
-        self._blobs: list[np.ndarray] = []
-        self._pos_blobs: list[np.ndarray] = []
-        self._pos_block_nbytes: list[np.ndarray] = []
+        # per batch: terms, salts, blob, PostingColumns, positions blob,
+        # block_pos_nbytes
+        self._batches: list[tuple] = []
         self._lineage: dict = {}
 
-    def add(self, term: str, salt: int, doc_ids: np.ndarray, tfs: np.ndarray,
-            dls: np.ndarray, avgdl: float,
-            positions: np.ndarray | None = None) -> None:
-        """``positions`` (required iff the builder was created
+    def add_many(self, terms, salts: np.ndarray, ids: np.ndarray,
+                 tfs: np.ndarray, dls: np.ndarray, run_starts: np.ndarray,
+                 avgdl: float, positions: np.ndarray | None = None) -> None:
+        """Add consecutive posting lists: list ``r`` is (``terms[r]``,
+        ``salts[r]``) with postings [run_starts[r], run_starts[r + 1]) of
+        ``ids``/``tfs``/``dls``, doc_id-sorted.  Lists must arrive in
+        (term, salt) order across calls — the v4 dictionary order.
+        ``positions`` (required iff the builder was created
         ``with_positions``): within-doc token positions of every posting,
         flattened in posting order (per-posting counts = ``tfs``)."""
         if (positions is None) == self.with_positions:
             raise ValueError(
                 "positions must be passed iff SegmentBuilder(with_positions=True)"
             )
-        blob, meta = encode_postings(doc_ids, tfs, dls, avgdl)
-        self._terms.append(term)
-        self._salts.append(salt)
-        self._metas.append(meta)
-        self._blobs.append(blob)
-        if self.with_positions:
-            pblob, pnb = encode_positions(tfs, positions, meta.block_count)
-            self._pos_blobs.append(pblob)
-            self._pos_block_nbytes.append(pnb)
+        blob, cols = encode_postings_many(ids, tfs, dls, run_starts, avgdl)
+        pblob, pnb = (encode_positions(tfs, positions, cols.block_count)
+                      if self.with_positions else (None, None))
+        self._batches.append((pa.array(terms, type=pa.string()),
+                              np.asarray(salts, dtype=np.int32), blob, cols,
+                              pblob, pnb))
+
+    def add(self, term: str, salt: int, doc_ids: np.ndarray, tfs: np.ndarray,
+            dls: np.ndarray, avgdl: float,
+            positions: np.ndarray | None = None) -> None:
+        """One (term, salt) posting list: ``add_many`` with a single list."""
+        self.add_many([term], [salt], doc_ids, tfs, dls, [0], avgdl,
+                      positions=positions)
+
+    def add_postings(self, vocab: pa.Array, rank: np.ndarray,
+                     salt: np.ndarray, ids: np.ndarray, tfs: np.ndarray,
+                     doclens: np.ndarray, avgdl: float,
+                     positions: np.ndarray | None = None) -> None:
+        """Add postings in any order (posting ``i``: term
+        ``vocab[rank[i]]`` of the lex-sorted ``vocab``, see ``lex_rank``).
+        One lexsort on (rank, salt, doc id) forms the (term, salt) lists;
+        duplicate (term, salt, doc id) postings collapse to their first copy
+        in input order and must agree on tf, else ValueError naming the
+        term.  ``doclens`` maps doc ids to lengths; ``positions`` are flat
+        per posting in INPUT order."""
+        order = np.lexsort((ids, salt, rank))
+        r, s, d = rank[order], salt[order], ids[order]
+        new_list = np.ones(len(order), dtype=bool)
+        np.logical_or(r[1:] != r[:-1], s[1:] != s[:-1], out=new_list[1:])
+        dup = np.zeros(len(order), dtype=bool)
+        np.logical_and(~new_list[1:], d[1:] == d[:-1], out=dup[1:])
+        if dup.any():
+            t = tfs[order]
+            bad = np.flatnonzero(dup[1:] & (t[1:] != t[:-1]))
+            if len(bad):
+                term = vocab[int(r[bad[0] + 1])].as_py()
+                raise ValueError(f"doc_id collision (conflicting tf) for "
+                                 f"term {term!r}; widen doc ids")
+            keep = ~dup
+            order, new_list, r, s, d = (order[keep], new_list[keep], r[keep],
+                                        s[keep], d[keep])
+        starts = np.flatnonzero(new_list)
+        if positions is not None:
+            positions = take_slices(positions, tfs, order)
+        self.add_many(vocab.take(pa.array(r[starts])), s[starts], d,
+                      tfs[order], np.asarray(doclens)[d], starts, avgdl,
+                      positions=positions)
 
     def set_lineage(self, **kv) -> None:
         self._lineage.update(kv)
 
     def write(self, out_dir: str) -> dict:
         """Atomic write; returns the manifest dict."""
+        if not self._batches:  # an empty segment: zero lists, typed columns
+            e = np.zeros(0, dtype=np.int64)
+            self.add_many([], [], e, e, e, e, 1.0,
+                          positions=e if self.with_positions else None)
+        terms, salts, blobs, cols, pblobs, pnbs = zip(*self._batches)
+        col = {k: np.concatenate([getattr(c, k) for c in cols])
+               for k in ("df", "cf", "nbytes") + _BLOCK_COLS}
+        # list columns: list r's blocks, numbered across all batches
+        list_offs = _offsets(np.concatenate(
+            [np.diff(c.block_offsets) for c in cols]))
+        lo = pa.array(list_offs.astype(np.int32))
+        table = {"term": pa.concat_arrays(terms),
+                 "salt": np.concatenate(salts),
+                 "offset": _offsets(col["nbytes"])[:-1]}
+        for k in ("df", "cf", "nbytes"):
+            table[k] = col[k]
+        for k in _BLOCK_COLS:
+            table[k] = pa.ListArray.from_arrays(lo, pa.array(col[k]))
+        blob = np.concatenate(blobs)
+        files = {"postings.bin": blob}
+        if self.with_positions:
+            files["positions.bin"] = pos_blob = np.concatenate(pblobs)
+            bpn = np.concatenate(pnbs)
+            table["pos_nbytes"] = np.diff(_offsets(bpn)[list_offs])
+            table["pos_offset"] = _offsets(table["pos_nbytes"])[:-1]
+            table["block_pos_nbytes"] = pa.ListArray.from_arrays(
+                lo, pa.array(bpn))
         tmp = out_dir + ".tmp"
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
         os.makedirs(tmp)
-        blob = (
-            np.concatenate(self._blobs) if self._blobs else np.empty(0, dtype=np.uint8)
-        )
-        offsets = np.zeros(len(self._blobs), dtype=np.int64)
-        if len(self._blobs) > 1:
-            np.cumsum([len(b) for b in self._blobs[:-1]], out=offsets[1:])
-        with open(os.path.join(tmp, "postings.bin"), "wb") as f:
-            f.write(blob.tobytes())
-        table = pa.table(
-            {
-                "term": pa.array(self._terms, type=pa.string()),
-                "salt": pa.array(self._salts, type=pa.int32()),
-                "df": pa.array([m.df for m in self._metas], type=pa.int64()),
-                "cf": pa.array([m.cf for m in self._metas], type=pa.int64()),
-                "offset": pa.array(offsets),
-                "nbytes": pa.array([m.nbytes for m in self._metas], type=pa.int64()),
-                "block_count": pa.array([m.block_count for m in self._metas],
-                                        type=pa.list_(pa.int32())),
-                "block_nbytes": pa.array([m.block_nbytes for m in self._metas],
-                                         type=pa.list_(pa.int32())),
-                "block_last_docid": pa.array([m.block_last_docid for m in self._metas],
-                                             type=pa.list_(pa.int64())),
-                "block_max_tfsat": pa.array([m.block_max_tfsat for m in self._metas],
-                                            type=pa.list_(pa.float32())),
-            }
-        )
-        if self.with_positions:
-            pos_blob = (np.concatenate(self._pos_blobs) if self._pos_blobs
-                        else np.empty(0, dtype=np.uint8))
-            pos_offsets = np.zeros(len(self._pos_blobs), dtype=np.int64)
-            if len(self._pos_blobs) > 1:
-                np.cumsum([len(b) for b in self._pos_blobs[:-1]],
-                          out=pos_offsets[1:])
-            with open(os.path.join(tmp, "positions.bin"), "wb") as f:
-                f.write(pos_blob.tobytes())
-            table = table.append_column(
-                "pos_offset", pa.array(pos_offsets))
-            table = table.append_column(
-                "pos_nbytes",
-                pa.array([len(b) for b in self._pos_blobs], type=pa.int64()))
-            table = table.append_column(
-                "block_pos_nbytes",
-                pa.array([x.tolist() for x in self._pos_block_nbytes],
-                         type=pa.list_(pa.int32())))
-        pq.write_table(table, os.path.join(tmp, "dict.parquet"))
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as f:
+                f.write(data.tobytes())
+        pq.write_table(pa.table(table, schema=POS_DICT_SCHEMA
+                                if self.with_positions else DICT_SCHEMA),
+                       os.path.join(tmp, "dict.parquet"))
         manifest = {
             "format_version": FORMAT_VERSION,
             "segment_id": self.segment_id,
             "shard": self.shard,
-            "n_terms": len(self._terms),
-            "n_postings": int(sum(m.df for m in self._metas)),
-            "sum_tf": int(sum(m.cf for m in self._metas)),
+            "n_terms": len(col["df"]),
+            "n_postings": int(col["df"].sum()),
+            "sum_tf": int(col["cf"].sum()),
             "postings_sha256": hashlib.sha256(blob.tobytes()).hexdigest(),
             "postings_nbytes": int(blob.nbytes),  # validate_segment quick mode
             "lineage": self._lineage,
@@ -437,6 +497,22 @@ class SegmentReader:
         meta = self.meta_at(i)
         return self.positions_range(i, tfs, 0, len(meta.block_count))
 
+    def decode_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray | None]:
+        """Every dictionary row's postings in one pass (merge, compaction)
+        -> (row_starts, ids, tfs, positions): row ``i`` holds postings
+        [row_starts[i], row_starts[i + 1]) of ``ids``/``tfs``; ``positions``
+        (None without a sidecar) are flat per posting, counts = ``tfs``."""
+        o, v = self._blocks[0]
+        ids, tfs = decode_runs(self.blob, self.df, v[o[0] : o[-1]])
+        positions = None
+        if self.has_positions:
+            o, v = self._pos_block_nbytes
+            bpn = v[o[0] : o[-1]]
+            positions = decode_positions_range(self.pos_blob, bpn, tfs, 0,
+                                               len(bpn))
+        return _offsets(self.df), ids, tfs, positions
+
 
 def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
                    shard: int, avgdl: float, doclens: np.ndarray,
@@ -445,11 +521,13 @@ def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
                    lineage: "dict | None" = None) -> dict:
     """Log-structured merge: union posting lists per (term, salt) by doc_id.
 
-    Duplicate (term, salt, doc_id) entries across inputs collapse to one
-    (their tf must agree — same deterministic doc indexed twice), which makes
-    the merge idempotent and safe to re-run after a partial failure.
-    Output lists are re-encoded (delta chains and block-max recomputed with
-    the supplied ``avgdl``).
+    Array work over whole segments: each input decodes in one pass
+    (``SegmentReader.decode_all``), ids are remapped, and all postings go
+    through one ``SegmentBuilder.add_postings`` (lexsort on term rank, salt
+    and doc id; one encode with the supplied ``avgdl``).  Duplicate (term,
+    salt, doc_id) entries collapse to the first input's copy (their tf must
+    agree — same deterministic doc indexed twice), which makes the merge
+    idempotent and safe to re-run after a partial failure.
 
     ``doclens`` maps OUTPUT-space doc ids/ordinals to doc lengths (block-max
     bounds need them; they are not stored in postings).
@@ -457,9 +535,8 @@ def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
     ``id_maps`` / ``new_map`` (index-level merges): when inputs store
     generation-local doc ORDINALS, ``id_maps[i]`` translates input ``i``'s
     ordinals to real ids and ``new_map`` (sorted) assigns the merged
-    ordinals.  Both maps are monotone, so per-list doc order is preserved
-    without re-sorting.  ``lineage`` adds keys to the output segment's
-    lineage record.
+    ordinals.  ``lineage`` adds keys to the output segment's lineage
+    record.
     """
     readers = [SegmentReader(d) for d in seg_dirs]
     with_pos = bool(readers) and all(r.has_positions for r in readers)
@@ -468,47 +545,24 @@ def merge_segments(seg_dirs: list[str], out_dir: str, segment_id: str,
             "cannot merge positional and non-positional segments; "
             "rebuild the non-positional inputs with positions=True"
         )
-    # (term, salt) -> [(reader, row)], readers in input order
-    rows: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for ri, r in enumerate(readers):
-        keys = zip(r.dict["term"].to_pylist(), r.salt.tolist())
-        for i, key in enumerate(keys):
-            rows.setdefault(key, []).append((ri, i))
+    parts = [r.decode_all() for r in readers]
+    ids = [p[1] for p in parts]
+    if id_maps is not None:
+        ids = [np.searchsorted(new_map, m[x]) for m, x in zip(id_maps, ids)]
+    row_df = np.concatenate([r.df for r in readers] + [np.zeros(0, np.int64)])
+    vocab, rank = lex_rank(pa.chunked_array(
+        [r._terms for r in readers], type=pa.string()).combine_chunks())
     builder = SegmentBuilder(segment_id, shard, with_positions=with_pos)
     builder.set_lineage(merged_from=[os.path.basename(d) for d in seg_dirs],
                         **(lineage or {}))
-    for term, salt in sorted(rows):
-        parts = []
-        for ri, i in rows[(term, salt)]:
-            r = readers[ri]
-            ids, tfs_p = r.postings_at(i)
-            pos_p = r.positions_at(i, tfs_p) if with_pos else None
-            if id_maps is not None:
-                ids = np.searchsorted(new_map, id_maps[ri][ids])
-            parts.append((ids, tfs_p, pos_p))
-        ids = np.concatenate([p[0] for p in parts])
-        tfs = np.concatenate([p[1] for p in parts])
-        order = np.argsort(ids, kind="stable")
-        ids_o, tfs_o = ids[order], tfs[order]
-        keep = np.ones(len(ids_o), dtype=bool)
-        if len(ids_o) > 1:
-            dup = ids_o[1:] == ids_o[:-1]
-            if dup.any() and (tfs_o[1:][dup] != tfs_o[:-1][dup]).any():
-                raise ValueError(
-                    f"doc_id collision with conflicting tf for term {term!r}"
-                )
-            keep[1:] = ~dup
-        kept_ids = ids_o[keep]
-        positions = None
-        if with_pos:
-            # reorder + dedup the variable-length position slices alongside
-            # their postings (vectorized slice gather; duplicate postings are
-            # the same deterministic doc, so the first copy's positions win)
-            from .codecs import take_slices
 
-            flat_pos = np.concatenate([p[2] for p in parts])
-            positions = take_slices(flat_pos, tfs, order[keep])
-        builder.add(term, salt, kept_ids, tfs_o[keep],
-                    np.asarray(doclens)[kept_ids], avgdl,
-                    positions=positions)
+    def cat(arrays, dtype):
+        return np.concatenate(list(arrays) + [np.zeros(0, dtype=dtype)])
+
+    builder.add_postings(
+        vocab, np.repeat(rank, row_df),
+        np.repeat(cat((r.salt for r in readers), np.int32), row_df),
+        cat(ids, np.int64), cat((p[2] for p in parts), np.int32),
+        doclens, avgdl,
+        positions=cat((p[3] for p in parts), np.int64) if with_pos else None)
     return builder.write(out_dir)

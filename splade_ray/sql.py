@@ -1467,7 +1467,9 @@ def weighted_avg_agg_sql(queries: list[tuple[int, str]]) -> str:
     division — the identical IEEE op the engine performs.  The weight
     token is rendered client-side through the same analyzer; queries
     with zero weight mass vanish through the inner join (the engine's
-    emission rule)."""
+    emission rule).  Untagged index shape: on a lang-tagged index the
+    engine weights each hit by the token's variant in the hit's own
+    language (``QueryEngine.search_weighted_avg``)."""
     from .analyzer import tokens_py
 
     wrows = []

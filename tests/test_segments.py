@@ -186,3 +186,83 @@ def test_quick_validation_checks_sizes_not_hashes(tmp_path):
     del m["postings_nbytes"]
     json.dump(m, open(mpath, "w"))
     assert validate_segment(seg, quick=True) is not None
+
+
+def test_decode_all_matches_row_reads(tmp_path):
+    """The whole-segment decode equals postings_at / positions_at row by
+    row, for lists spanning one and several blocks."""
+    rng = np.random.default_rng(4)
+    dfs = [1, 3, 128, 129, 300, 1, 2]
+    ids, tfs, starts = [], [], []
+    for df in dfs:
+        starts.append(sum(len(x) for x in ids))
+        ids.append(np.sort(rng.choice(1000, df, replace=False)))
+        tfs.append(rng.integers(1, 200, df))
+    ids, tfs = np.concatenate(ids), np.concatenate(tfs)
+    pos = np.concatenate([np.sort(rng.choice(20_000, t, replace=False))
+                          for t in tfs])
+    b = SegmentBuilder("d", 0, with_positions=True)
+    terms = [f"t{i}" for i in range(len(dfs))]
+    b.add_many(terms, np.zeros(len(dfs)), ids, tfs, DOCLENS[ids], starts,
+               AVGDL, positions=pos)
+    out = os.path.join(tmp_path, "d")
+    b.write(out)
+    r = SegmentReader(out)
+    row_starts, all_ids, all_tfs, all_pos = r.decode_all()
+    assert np.array_equal(all_ids, ids) and np.array_equal(all_tfs, tfs)
+    assert np.array_equal(all_pos, pos)
+    pos_starts = np.concatenate([[0], np.cumsum(all_tfs)])
+    for i in range(r.dict.num_rows):
+        lo, hi = row_starts[i], row_starts[i + 1]
+        row_ids, row_tfs = r.postings_at(i)
+        assert np.array_equal(all_ids[lo:hi], row_ids)
+        assert np.array_equal(all_tfs[lo:hi], row_tfs)
+        assert np.array_equal(all_pos[pos_starts[lo]:pos_starts[hi]],
+                              r.positions_at(i, row_tfs))
+    # a segment without postings decodes to nothing
+    e = _mk_segment(tmp_path, "e", 0, {})
+    row_starts, all_ids, all_tfs, all_pos = SegmentReader(e).decode_all()
+    assert list(row_starts) == [0] and not len(all_ids) and all_pos is None
+
+
+def test_merge_collapses_equal_and_names_conflicting_term(tmp_path):
+    a = _mk_segment(tmp_path, "a", 0, {("t", 0): ([3, 7], [2, 1]),
+                                       ("u", 0): ([7], [4])})
+    b = _mk_segment(tmp_path, "b", 0, {("t", 0): ([7, 9], [1, 5]),
+                                       ("u", 0): ([7], [5])})
+    c = _mk_segment(tmp_path, "c", 0, {("t", 0): ([7, 9], [1, 5])})
+    out = os.path.join(tmp_path, "m")
+    merge_segments([a, c], out, "m", 0, AVGDL, DOCLENS)
+    assert _dump(out)[("t", 0)] == ([3, 7, 9], [2, 1, 5])
+    with pytest.raises(ValueError, match="collision.*'u'"):
+        merge_segments([a, b], os.path.join(tmp_path, "x"), "x", 0, AVGDL,
+                       DOCLENS)
+
+
+def test_build_collapses_equal_and_names_conflicting_term(tmp_path,
+                                                          ray_session):
+    import pyarrow as pa
+    import ray
+
+    from splade_ray.build import build_segment_group
+
+    def group(rows):
+        term, salt, doc_id, tf = zip(*rows)
+        return pa.table({
+            "term": pa.array(term), "salt": pa.array(salt, pa.int32()),
+            "doc_id": pa.array(doc_id, pa.int64()),
+            "tf": pa.array(tf, pa.int32()),
+            "shard": pa.array([0] * len(rows), pa.int32())})
+
+    ref = ray.put(DOCLENS)
+    idx = str(tmp_path / "idx")
+    # duplicate input rows: (b, 0, 5) twice with equal tf collapse to one
+    build_segment_group(group([("b", 0, 5, 2), ("a", 0, 9, 1),
+                               ("b", 0, 5, 2), ("b", 0, 1, 3)]),
+                        index_dir=idx, avgdl=AVGDL, doclens_ref=ref)
+    seg = os.path.join(idx, "segments", "seg-00000")
+    assert _dump(seg) == {("a", 0): ([9], [1]), ("b", 0): ([1, 5], [3, 2])}
+    with pytest.raises(ValueError, match="collision.*'b'"):
+        build_segment_group(group([("a", 0, 9, 1), ("b", 0, 5, 2),
+                                   ("b", 0, 5, 4)]),
+                            index_dir=idx, avgdl=AVGDL, doclens_ref=ref)

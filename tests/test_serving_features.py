@@ -1175,3 +1175,34 @@ def test_lang_stats_agg_matches_bruteforce(flat_dir, corpus_table,
                                  query_kind="lang_stats").to_pandas()
              .sort_values(["query_id", "lang"]).reset_index(drop=True))
     assert shard[base.columns.tolist()].equals(base)
+
+
+def test_weighted_avg_lang_tagged_matches_bruteforce(tmp_path, ray_session):
+    """On a lang-tagged index each hit is weighted by the tf of the first
+    token's variant in the hit's OWN language (a doc has one language), so
+    an untagged query whose first-listed language variant is absent still
+    aggregates over every hit."""
+    import pyarrow.parquet as pq
+
+    from splade_ray.analyzer import tokens_py
+    from splade_ray.corpus import corpus_parquet
+
+    src = corpus_parquet(300, seed=7)
+    idx = str(tmp_path / "tagged")
+    build_index(rd.read_parquet(src), idx, lang_tagged=True, n_shards=4)
+    orc = OracleIndex(pq.read_table(src).to_pylist(), lang_tagged=True)
+    e = QueryEngine(idx, k=10)
+    cases = [("lambda", None), ("merge window", None), ("stream", None),
+             ("the", None), ("def import", "py"), ("func package", "go"),
+             ("zzzzqqqxyzzy", None)]
+    nonzero = 0
+    for q, lang in cases:
+        tok = tokens_py(q)[0]
+        hits = [did for did, _ in orc._hits(q, lang)]
+        w = {did: orc.postings.get(f"{orc.docs[did]['lang']}:{tok}", {})
+             .get(did, 0) for did in hits}
+        want = (len(hits), sum(w.values()),
+                sum(orc.doc_len[d] * w[d] for d in hits))
+        assert e.search_weighted_avg(q, lang) == want, (q, lang)
+        nonzero += want[1] > 0
+    assert nonzero >= 5

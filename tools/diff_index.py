@@ -1,0 +1,73 @@
+"""Compare the segment bytes of two index directories.
+
+For every segment under ``A/segments`` and ``B/segments`` prints the sha256
+of ``postings.bin``, of ``positions.bin`` (``-`` when absent) and of the
+canonical ``dict.parquet`` rows (every column, row order kept, as JSON), one
+line per segment and side, then ``same``/``DIFFERENT`` per segment.  Exits 1
+on any mismatch, including a segment present on one side only.  Manifests
+and lineage are not compared: they name their inputs and differ by design
+between two builds of the same content.
+
+Usage: python tools/diff_index.py A B
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+import pyarrow.parquet as pq
+
+
+def _sha_file(path: str) -> str:
+    if not os.path.exists(path):
+        return "-"
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def segment_digest(seg_dir: str) -> tuple[str, str, str]:
+    """(postings sha256, positions sha256 or '-', dict rows sha256)."""
+    table = pq.read_table(os.path.join(seg_dir, "dict.parquet"))
+    rows = json.dumps({c: table[c].to_pylist() for c in table.column_names},
+                      sort_keys=True)
+    return (_sha_file(os.path.join(seg_dir, "postings.bin")),
+            _sha_file(os.path.join(seg_dir, "positions.bin")),
+            hashlib.sha256(rows.encode()).hexdigest())
+
+
+def _segments(index_dir: str) -> set[str]:
+    root = os.path.join(index_dir, "segments")
+    return {d for d in os.listdir(root)
+            if os.path.isfile(os.path.join(root, d, "dict.parquet"))}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    a, b = argv
+    segs_a, segs_b = _segments(a), _segments(b)
+    bad = 0
+    for seg in sorted(segs_a | segs_b):
+        digests = []
+        for side, root, segs in (("A", a, segs_a), ("B", b, segs_b)):
+            d = (segment_digest(os.path.join(root, "segments", seg))
+                 if seg in segs else ("missing",) * 3)
+            digests.append(d)
+            print(f"{seg} {side} postings={d[0]} positions={d[1]} "
+                  f"dict={d[2]}")
+        same = digests[0] == digests[1]
+        bad += not same
+        print(f"{seg} {'same' if same else 'DIFFERENT'}")
+    print(f"{len(segs_a | segs_b)} segments, {bad} different")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
