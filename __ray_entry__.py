@@ -240,19 +240,6 @@ def oracle_sql() -> dict[str, str]:
                                                    TOP_K),
         "term_vectors": sql.term_vectors_sql(p.TV_MOD, p.TV_RESIDUE),
         "rank_eval": sql.rank_eval_sql(DOC_QUERIES, TOP_K),
-        "ext_stats_agg_sharded": sql.ext_stats_agg_sql(DOC_QUERIES),
-        "random_score_topk_sharded": sql.random_score_topk_sql(
-            DOC_QUERIES, TOP_K, seed=p.RS_SEED),
-        "adjacency_matrix_sharded": sql.adjacency_matrix_sql(p.ADJ_PAIRS),
-        "pinned_topk_sharded": sql.pinned_topk_sql(
-            DOC_QUERIES, TOP_K, p.PIN_MOD, p.PIN_RESIDUE, p.PIN_N),
-        "constant_score_topk_sharded": sql.constant_score_topk_sql(
-            DOC_QUERIES, TOP_K, boost=p.CONST_BOOST),
-        "rank_feature_topk_sharded": sql.rank_feature_topk_sql(
-            DOC_QUERIES, TOP_K, pivot=p.RF_PIVOT),
-        "mad_agg_sharded": sql.mad_agg_sql(DOC_QUERIES),
-        "composite_agg_sharded": sql.composite_agg_sql(
-            DOC_QUERIES, p.COMP_WIDTH, p.COMP_SIZE, p.COMP_AFTER),
         "span_or_topk": sql.span_or_topk_sql(p.SPAN_OR_QUERIES, TOP_K),
         "span_not_topk": sql.span_not_topk_sql(p.SPAN_NOT_QUERIES, TOP_K),
         "span_containing_topk": sql.span_contain_topk_sql(
@@ -272,26 +259,17 @@ def oracle_sql() -> dict[str, str]:
         "stats_agg": sql.stats_agg_sql(DOC_QUERIES),
         "range_agg": sql.range_agg_sql(DOC_QUERIES, p.DL_RANGES),
         "lang_stats_agg": sql.lang_stats_agg_sql(DOC_QUERIES),
-        "lang_stats_agg_sharded": sql.lang_stats_agg_sql(DOC_QUERIES),
         "cardinality_agg": sql.cardinality_agg_sql(DOC_QUERIES),
         "percentiles_agg": sql.percentiles_agg_sql(DOC_QUERIES),
         "mget_docs": sql.mget_docs_sql(p.MGET_MOD, p.MGET_RESIDUE),
-        "mget_docs_sharded": sql.mget_docs_sql(p.MGET_MOD, p.MGET_RESIDUE),
-        "cardinality_agg_sharded": sql.cardinality_agg_sql(DOC_QUERIES),
-        "percentiles_agg_sharded": sql.percentiles_agg_sql(DOC_QUERIES),
         "top_hits_agg": sql.top_hits_sql(DOC_QUERIES, p.TOP_HITS_N),
         "sort_topk": sql.sort_topk_sql(DOC_QUERIES, TOP_K),
         "function_score_topk": sql.function_score_topk_sql(DOC_QUERIES,
                                                            TOP_K),
         "boxplot_agg": sql.boxplot_agg_sql(DOC_QUERIES),
-        "boxplot_agg_sharded": sql.boxplot_agg_sql(DOC_QUERIES),
         "filters_agg": sql.filters_agg_sql(DOC_QUERIES, p.FILTER_BUCKETS),
-        "filters_agg_sharded": sql.filters_agg_sql(DOC_QUERIES,
-                                                   p.FILTER_BUCKETS),
         "weighted_avg_agg": sql.weighted_avg_agg_sql(DOC_QUERIES),
-        "weighted_avg_agg_sharded": sql.weighted_avg_agg_sql(DOC_QUERIES),
         "t_test_agg": sql.t_test_agg_sql(p.TT_PAIRS),
-        "t_test_agg_sharded": sql.t_test_agg_sql(p.TT_PAIRS),
         "scroll_topk": sql.scroll_topk_sql(DOC_QUERIES, TOP_K,
                                            p.SCROLL_PAGES),
         "phrase_suggest": sql.phrase_suggest_sql(
@@ -301,10 +279,6 @@ def oracle_sql() -> dict[str, str]:
         "analyze_api": sql.analyze_api_sql(p.ANALYZE_TEXTS),
         "distance_feature_topk": sql.distance_feature_topk_sql(
             DOC_QUERIES, TOP_K, p.DF_ORIGIN),
-        "distance_feature_topk_sharded": sql.distance_feature_topk_sql(
-            DOC_QUERIES, TOP_K, p.DF_ORIGIN),
-        "phrase_suggest_sharded": sql.phrase_suggest_sql(
-            p.PHRASE_SUGGEST_QUERIES, p.PS_N, p.PS_MAX_EDITS, p.PS_CAND_N),
         "bm25_topk_deleted": sql.bm25_topk_deleted_sql(
             DOC_QUERIES, TOP_K,
             dead_pred=(f"(CAST(d.path AS BIGINT) % {p.DEAD_MOD})"
@@ -327,20 +301,7 @@ def oracle_sql() -> dict[str, str]:
         "bm25_topk_taat": sql.bm25_topk_sql(DOC_QUERIES, TOP_K),
         "bm25_topk_bmw": sql.bm25_topk_sql(DOC_QUERIES, TOP_K),
         "bm25_topk_merged": sql.bm25_topk_sql(DOC_QUERIES, TOP_K),
-        "bm25_topk_sharded": sql.bm25_topk_sql(DOC_QUERIES, TOP_K),
         "idf_coord_topk": sql.idf_coord_topk_sql(DOC_QUERIES, TOP_K),
-        "stats_agg_sharded": sql.stats_agg_sql(DOC_QUERIES),
-        "range_agg_sharded": sql.range_agg_sql(DOC_QUERIES, p.DL_RANGES),
-        "top_hits_agg_sharded": sql.top_hits_sql(DOC_QUERIES, p.TOP_HITS_N),
-        "sort_topk_sharded": sql.sort_topk_sql(DOC_QUERIES, TOP_K),
-        "function_score_topk_sharded": sql.function_score_topk_sql(
-            DOC_QUERIES, TOP_K),
-        "rescore_topk_sharded": sql.rescore_topk_sql(DOC_QUERIES, TOP_K,
-                                                     p.RESCORE_WINDOW),
-        "dis_max_topk_sharded": sql.dis_max_topk_sql(p.DISMAX_QUERIES,
-                                                     TOP_K, tie=p.DISMAX_TIE),
-        "boosting_topk_sharded": sql.boosting_topk_sql(p.BOOSTING_QUERIES,
-                                                       TOP_K, nb=p.NEG_BOOST),
         "bm25_topk_docs": sql.bm25_topk_docs_sql(DOC_QUERIES, TOP_K),
         "rrf_hybrid": sql.rrf_hybrid_sql(DOC_QUERIES, TOP_K),
         "rrf_dense_sparse": sql.rrf_dense_sparse_sql(DOC_QUERIES, TOP_K),
@@ -393,9 +354,11 @@ def oracle_sql() -> dict[str, str]:
         "explain_top1": sql.explain_top1_sql(DOC_QUERIES),
         "collapse_topk": sql.collapse_topk_sql(DOC_QUERIES, TOP_K),
         "lang_terms_agg": sql.lang_terms_agg_sql(DOC_QUERIES),
-        "collapse_topk_sharded": sql.collapse_topk_sql(DOC_QUERIES, TOP_K),
-        "lang_terms_agg_sharded": sql.lang_terms_agg_sql(DOC_QUERIES),
         "total_hits": sql.total_hits_sql(DOC_QUERIES),
         "dl_histogram": sql.dl_histogram_sql(DOC_QUERIES, p.HIST_WIDTH),
     })
+    # each doc-range twin answers with its single-pool entry's oracle
+    twins = {f"{r.name}_sharded": r.name for r in p.SERVED if r.shard}
+    twins["bm25_topk_sharded"] = "bm25_topk_taat"
+    catalog.update({t: catalog[single] for t, single in twins.items()})
     return catalog

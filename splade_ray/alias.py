@@ -34,27 +34,33 @@ def set_alias(alias_path: str, index_dir: str) -> None:
     """Create or atomically repoint ``alias_path`` at ``index_dir``.
 
     The target must look like an index or another alias NOW — catching a
-    typo at swap time, not at first query.  The temp file lands in the
-    alias's own directory so ``os.replace`` never crosses filesystems.
+    typo at swap time, not at first query.
     """
     index_dir = os.path.abspath(index_dir)
     if not (os.path.isfile(os.path.join(index_dir, "MANIFEST.json"))
             or _is_alias(index_dir)):
         raise ValueError(f"alias target {index_dir!r} is not an index "
                          f"(no MANIFEST.json) nor an alias")
-    alias_path = os.path.abspath(alias_path)
-    # a UNIQUE temp name per swap: concurrent swaps of one alias must not
-    # share (and steal) each other's temp file
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(alias_path),
-                               prefix=os.path.basename(alias_path) + ".",
+    write_json_atomic(os.path.abspath(alias_path), {"index": index_dir})
+
+
+def write_json_atomic(path: str, obj, indent: int | None = None) -> None:
+    """Write ``obj`` as JSON to ``path`` so that readers see the old file
+    or the whole new one, never a partial write: dump into a temp file in
+    the same directory (``os.replace`` never crosses filesystems), fsync,
+    then rename over ``path``.  The temp name is unique per call, so
+    concurrent writers of one path never share (and steal) a temp file;
+    a failed dump removes its temp file and leaves ``path`` untouched."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                               prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump({"index": index_dir}, f)
+            json.dump(obj, f, indent=indent)
             f.flush()
             os.fsync(f.fileno())
-        os.chmod(tmp, 0o644)  # mkstemp creates 0600; aliases are shared
-        os.replace(tmp, alias_path)
+        os.chmod(tmp, 0o644)  # mkstemp creates 0600; index files are shared
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -46,6 +46,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from . import DROP_WS
+from .alias import write_json_atomic
 from .analyzer import doc_token_stats
 from .ids import doc_id63_column, hash63_bytes, sha256_hex_column
 from .segments import SegmentBuilder, lex_rank, validate_segment
@@ -305,6 +306,27 @@ def fingerprint_files(files: list[str]) -> str:
     return digest[:16]
 
 
+# Everything a build derives inside its index dir.  A rebuild removes all
+# of it: tombstones belong to the PREVIOUS corpus too — doc ids are
+# content-independent (repo, path, commit), so a surviving tombstones.bin
+# would silently hide live docs of the rebuilt index.
+_DERIVED_DIRS = ("staging", "segments", "docs", "docmap", "tombstones.d")
+_DERIVED_FILES = ("STAGING.json", "MANIFEST.json", "tombstones.bin",
+                  "docs_excluded.bin", "docmap.bin", "doclens.bin",
+                  "langvals.bin")
+
+
+def _remove_derived(index_dir: str) -> None:
+    for name in _DERIVED_DIRS:
+        p = os.path.join(index_dir, name)
+        if os.path.exists(p):
+            shutil.rmtree(p)
+    for name in _DERIVED_FILES:
+        p = os.path.join(index_dir, name)
+        if os.path.exists(p):
+            os.remove(p)
+
+
 def _staging_valid(index_dir: str, corpus_fp: str | None = None,
                    positions: bool | None = None) -> bool:
     p = os.path.join(index_dir, "STAGING.json")
@@ -423,18 +445,7 @@ def build_index(
     if overwrite or fused:
         # a fused build is single-shot by definition: leftover artifacts
         # (possibly from a different corpus) must not be resumed into
-        for sub in ("staging", "segments", "docs", "docmap", "tombstones.d"):
-            p = os.path.join(index_dir, sub)
-            if os.path.exists(p):
-                shutil.rmtree(p)
-        # tombstones belong to the PREVIOUS corpus: doc ids are content-
-        # independent (repo,path,commit), so a surviving tombstones.bin
-        # would silently hide live docs of the rebuilt index
-        for f in ("STAGING.json", "MANIFEST.json", "tombstones.bin",
-                  "docs_excluded.bin", "docmap.bin", "doclens.bin"):
-            p = os.path.join(index_dir, f)
-            if os.path.exists(p):
-                os.remove(p)
+        _remove_derived(index_dir)
 
     staging_dir = os.path.join(index_dir, "staging")
     t0 = _t()
@@ -478,15 +489,7 @@ def build_index(
         # stale/absent staging: every derived artifact (segments, docmap,
         # manifest) came from that staging — drop them too, or a fingerprint
         # mismatch would rebuild staging yet keep serving stale segments
-        for sub in ("staging", "segments", "docmap", "tombstones.d"):
-            p = os.path.join(index_dir, sub)
-            if os.path.exists(p):
-                shutil.rmtree(p)
-        for fn in ("docmap.bin", "doclens.bin", "MANIFEST.json",
-                   "tombstones.bin", "docs_excluded.bin"):
-            p = os.path.join(index_dir, fn)
-            if os.path.exists(p):
-                os.remove(p)
+        _remove_derived(index_dir)
         n_input = corpus.count()
         staged_ds = corpus.map_batches(
             prepare_batch, batch_format="pyarrow",
@@ -495,10 +498,10 @@ def build_index(
         staged_ds.write_parquet(staging_dir)
         if not os.path.isdir(staging_dir):  # zero indexable rows -> no files
             raise ValueError("no indexable documents (all rows empty?)")
-        with open(os.path.join(index_dir, "STAGING.json"), "w") as f:
-            json.dump({"ok": True, "n_input_rows": n_input,
-                       "lang_tagged": lang_tagged, "corpus_fp": corpus_fp,
-                       "positions": positions}, f)
+        write_json_atomic(os.path.join(index_dir, "STAGING.json"),
+                          {"ok": True, "n_input_rows": n_input,
+                           "lang_tagged": lang_tagged, "corpus_fp": corpus_fp,
+                           "positions": positions})
     if not fused:
         with open(os.path.join(index_dir, "STAGING.json")) as f:
             staging_meta = json.load(f)
@@ -730,32 +733,35 @@ def build_index(
     # for the low-cardinality shard key at this scale
     _ctx = ray.data.DataContext.get_current()
     _prev_push = getattr(_ctx, "use_push_based_shuffle", False)
-    _ctx.use_push_based_shuffle = True
     if todo:
         shuffle_cols = ["doc_id", "terms", "tfs"]
         if positions:
             shuffle_cols.append("positions")
-        postings = _staging_read(shuffle_cols).map_batches(
-            explode_postings_batch, batch_format="pyarrow",
-            fn_kwargs={
-                "n_shards": n_shards, "hot_terms": hot_terms,
-                "salt_bits": salt_bits, "skip_shards": frozenset(done),
-                "docmap_ref": docmap_ref, "n_docs": n_docs,
-            },
-        )
-        grouped = postings.groupby("shard")
-        seg_stats = grouped.map_groups(
-            partial(build_segment_group, index_dir=index_dir, avgdl=avgdl,
-                    doclens_ref=doclens_ref),
-            batch_format="pyarrow",
-        )
-        seg_stats.count()  # drive execution; manifests land on disk
+        # the flag is process-wide: restore it even when the shuffle fails
+        _ctx.use_push_based_shuffle = True
+        try:
+            postings = _staging_read(shuffle_cols).map_batches(
+                explode_postings_batch, batch_format="pyarrow",
+                fn_kwargs={
+                    "n_shards": n_shards, "hot_terms": hot_terms,
+                    "salt_bits": salt_bits, "skip_shards": frozenset(done),
+                    "docmap_ref": docmap_ref, "n_docs": n_docs,
+                },
+            )
+            grouped = postings.groupby("shard")
+            seg_stats = grouped.map_groups(
+                partial(build_segment_group, index_dir=index_dir,
+                        avgdl=avgdl, doclens_ref=doclens_ref),
+                batch_format="pyarrow",
+            )
+            seg_stats.count()  # drive execution; manifests land on disk
+        finally:
+            _ctx.use_push_based_shuffle = _prev_push
         for name in os.listdir(seg_root):
             m = validate_segment(os.path.join(seg_root, name))
             if m is not None:
                 done[m["shard"]] = m
 
-    _ctx.use_push_based_shuffle = _prev_push
     timings["shuffle_build_sec"] = round(_t() - t0, 3)
     # NOTE: no separate docs-table write — the staging parquet IS the docs
     # table (read it with column pruning via ``read_docs``); avoids one full
@@ -784,8 +790,8 @@ def build_index(
             for s, m in sorted(done.items())
         ],
     }
-    with open(os.path.join(index_dir, "MANIFEST.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
+    write_json_atomic(os.path.join(index_dir, "MANIFEST.json"), manifest,
+                      indent=1)
     return manifest
 
 

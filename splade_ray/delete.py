@@ -48,6 +48,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from .alias import write_json_atomic
 from .codecs import take_slices
 from .docmap import (RANGES_NAME, SHARD_DIR, open_doc_arrays,
                      sorted_member)
@@ -625,6 +626,6 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     remove_tombstone_files(out_dir)
     dead_ids = docs.gather_ids(tomb) if len(tomb) else np.empty(0, np.int64)
     write_excluded(out_dir, np.union1d(read_excluded(index_dir), dead_ids))
-    with open(os.path.join(out_dir, "MANIFEST.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
+    write_json_atomic(os.path.join(out_dir, "MANIFEST.json"), manifest,
+                      indent=1)
     return manifest

@@ -32,6 +32,7 @@ import pyarrow as pa
 
 import ray.data
 
+from .alias import write_json_atomic
 from .segments import merge_segments, validate_segment
 
 
@@ -272,6 +273,6 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
             if os.path.isdir(p)
         ],
     }
-    with open(os.path.join(out_dir, "MANIFEST.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
+    write_json_atomic(os.path.join(out_dir, "MANIFEST.json"), manifest,
+                      indent=1)
     return manifest

@@ -17,6 +17,8 @@ import hashlib
 import json
 import os
 import shutil
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
@@ -28,7 +30,7 @@ from ray.data.aggregate import Sum
 from .build import build_index, fingerprint_files, prepare_batch
 from .corpus import documents_as_corpus_batch
 from .phrase import positional_topk, rank_units
-from .query import run_queries, run_queries_sharded
+from .query import KINDS, _engine_cfg, run_queries, run_queries_sharded
 
 # Shared query literals: the Ray side runs them through the engine, the SQL
 # side embeds them as VALUES — both from this one constant.
@@ -138,29 +140,6 @@ BOOL_MSM_QUERIES: list[
     (3, [], ["merge", "window"], [], 3),
     (4, [], ["agg", "customer"], ["merge"], 1),
 ]
-
-
-def bool_msm_topk(sf_dir: str, top_k: int = TOP_K):
-    """Boolean search with minimum_should_match (the Elasticsearch
-    ``minimum_should_match`` parameter): a doc qualifies when it holds
-    ALL must tokens, NO must_not token, AND at least ``msm`` DISTINCT
-    should tokens — the presence-count filter applied to complete sums
-    before any cut (QueryEngine.search_bool(min_should_match=...)).
-    Rank-identical to sql.bool_topk_sql(msm=...)."""
-    return _serve(_contract_index(sf_dir), _bool_table(BOOL_MSM_QUERIES),
-                  "bool", k=top_k)
-
-
-def _bool_table(rows: list[tuple]) -> pa.Table:
-    """(query_id, must, should, must_not[, min_should_match]) literals ->
-    the engine's bool query table."""
-    cols = {"query_id": pa.array([r[0] for r in rows], type=pa.int64())}
-    for i, c in enumerate(("must", "should", "must_not"), start=1):
-        cols[c] = pa.array([r[i] for r in rows], type=pa.list_(pa.string()))
-    if len(rows[0]) > 4:
-        cols["min_should_match"] = pa.array([r[4] for r in rows],
-                                            type=pa.int64())
-    return pa.table(cols)
 
 
 def _norm_first_token(queries: list[tuple[int, str]]) -> list[tuple[int, str]]:
@@ -299,9 +278,21 @@ def top_terms(sf_dir: str, n: int = 20):
     return term_df(sf_dir).sort(key=["df", "term"], descending=[True, False]).limit(n)
 
 
+# contract indexes are cached per (sf dir, checkout): keying on this
+# package's real path too keeps two checkouts from resuming each other's
+# indexes, so a parent/change sweep runs each side's own writers
+_PKG = os.path.dirname(os.path.realpath(__file__))
+
+
+def _cache_dir(tag: str, sf_dir: str) -> str:
+    """The cache dir of contract index ``tag`` over ``sf_dir``."""
+    key = hashlib.sha256(
+        f"{_PKG}\0{os.path.abspath(sf_dir)}".encode()).hexdigest()[:12]
+    return os.path.join("/tmp/splade_ray_contract", key, tag)
+
+
 def _contract_index(sf_dir: str) -> str:
-    key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    idx = os.path.join("/tmp/splade_ray_contract", key)
+    idx = _cache_dir("index", sf_dir)
     # the adapter map_batches hides file provenance from the Dataset, so
     # pass the explicit fingerprint: it binds the checkpoint to the parquet
     # AND enables build_index's fast full-resume (warm serving entries —
@@ -312,105 +303,75 @@ def _contract_index(sf_dir: str) -> str:
     return idx
 
 
+_I64, _STR, _STRS = pa.int64(), pa.string(), pa.list_(pa.string())
+
+
+def _rows_table(rows: list[tuple], **types: pa.DataType) -> pa.Table:
+    """Query literal tuples -> a query table: field i of every tuple is
+    column i, named and typed by the i-th keyword."""
+    return pa.table({name: pa.array([r[i] for r in rows], type=t)
+                     for i, (name, t) in enumerate(types.items())})
+
+
 def _text_table(rows: list[tuple[int, str]]) -> pa.Table:
     """(query_id, text) literals -> the engine's query table."""
-    return pa.table({
-        "query_id": pa.array([q for q, _ in rows], type=pa.int64()),
-        "query": pa.array([s for _, s in rows], type=pa.string()),
-    })
+    return _rows_table(rows, query_id=_I64, query=_STR)
+
+
+def _bool_table(rows: list[tuple], **more: pa.DataType) -> pa.Table:
+    """(query_id, must, should, must_not[, min_should_match]) literals."""
+    return _rows_table(rows, query_id=_I64, must=_STRS, should=_STRS,
+                       must_not=_STRS, **more)
 
 
 def _queries_table() -> pa.Table:
     return _text_table(DOC_QUERIES)
 
 
-def _serve(idx: str, table: pa.Table, kind: str, *, k: int = TOP_K,
-           scorer: str = "taat", concurrency: int = 2,
-           n_query_shards: int = 0, ints: tuple[str, ...] = ("rank",),
-           **engine_kwargs):
+def _wide_ints(kind: str, cfg) -> list[str]:
+    """The int32 columns (ranks, pages) of ``kind``'s output schema under
+    engine config ``cfg``: _serve widens them to int64, the oracles'
+    integer width."""
+    return [f.name for f in KINDS[kind].schema_for(cfg)
+            if f.type == pa.int32()]
+
+
+def _serve(idx: str, table: pa.Table, kind: str, *, scorer: str = "taat",
+           n_query_shards: int = 0, **engine_kwargs):
     """Answer ``table`` with query kind ``kind`` over the index at ``idx``:
-    one QueryEngine pool of ``concurrency`` actors, or — with
-    ``n_query_shards`` — the doc-range fan-out (run_queries_sharded, one
-    actor per range), whose answers are identical by construction.  The
-    ``ints`` columns (int32 ranks) widen to int64."""
+    one QueryEngine pool of up to two actors (never more than there are
+    queries), or — with ``n_query_shards`` — the doc-range fan-out
+    (run_queries_sharded, one actor per range), whose answers are
+    identical by construction.  The kind's int32 columns widen to int64."""
     ds = rd.from_arrow(table)
-    kw = {"k": k, "scorer": scorer, "query_kind": kind,
+    kw = {"k": TOP_K, "scorer": scorer, "query_kind": kind,
           "engine_kwargs": engine_kwargs or None}
     if n_query_shards:
         res = run_queries_sharded(ds, idx, n_query_shards=n_query_shards,
                                   concurrency_per_shard=1, **kw)
     else:
-        res = run_queries(ds, idx, concurrency=concurrency, **kw)
-    if not ints:
+        res = run_queries(ds, idx, concurrency=max(1, min(2, table.num_rows)),
+                          **kw)
+    wide = _wide_ints(kind, _engine_cfg(TOP_K, scorer, engine_kwargs))
+    if not wide:
         return res
-    return res.map_batches(lambda t: _i64(t, list(ints)),
-                           batch_format="pyarrow")
+    return res.map_batches(_i64, fn_args=(wide,), batch_format="pyarrow")
 
 
-def _sharded(single, doc: str, n_query_shards: int = 3):
-    """The doc-range-sharded contract twin of a single-pool wrapper: same
-    arguments, same oracle, answered through run_queries_sharded."""
-    def twin(sf_dir: str, *args, **kwargs):
-        return single(sf_dir, *args, n_query_shards=n_query_shards, **kwargs)
-
-    twin.__name__ = twin.__qualname__ = single.__name__ + "_sharded"
-    twin.__doc__ = doc
-    return twin
-
-
-def bm25_topk(sf_dir: str, scorer: str = "taat", *, n_query_shards: int = 0):
+def bm25_topk(sf_dir: str, scorer: str = "taat"):
     """Flagship: build (or resume) the inverted index over the documents
     corpus, answer DOC_QUERIES via the actor-pool engine, rank-identical to
     the pure-SQL BM25 oracle (sql.bm25_topk_sql)."""
     return _serve(_contract_index(sf_dir), _queries_table(), "text",
-                  scorer=scorer, n_query_shards=n_query_shards)
+                  scorer=scorer)
 
 
-def prefix_topk(sf_dir: str, top_k: int = TOP_K):
-    """Prefix (wildcard-tail) search through the index: each PREFIX_QUERIES
-    entry expands against the sorted term dictionary
-    (SegmentReader.prefix_rows — one contiguous row run per segment) and
-    scores as a qtf=1 BM25 bag over the matched terms
-    (QueryEngine.search_prefix).  Rank-identical to sql.prefix_topk_sql.
-    Reference analogue: none — Milvus sparse search has no term-prefix
-    rewrite; this is native-inverted-index capability (Lucene PrefixQuery)."""
-    idx = _contract_index(sf_dir)
-    prefs = norm_prefixes()
-    tbl = _text_table(prefs)
-    return _serve(idx, tbl, "prefix", k=top_k)
-
-
-def fuzzy_topk(sf_dir: str, top_k: int = TOP_K):
-    """Fuzzy search (Lucene FuzzyQuery, maxEdits=1) through the index: each
-    FUZZY_QUERIES token matches every term within Levenshtein distance 1
-    via exhaustive edit-1 neighborhood probes of the sorted dictionary
-    (QueryEngine.search_fuzzy — per-query cost independent of vocabulary
-    size), scored as a qtf=1 BM25 bag.  Rank-identical to
-    sql.fuzzy_topk_sql's levenshtein(term, token) <= 1 oracle."""
-    idx = _contract_index(sf_dir)
-    toks = norm_fuzzy()
-    tbl = _text_table(toks)
-    return _serve(idx, tbl, "fuzzy", k=top_k)
-
-
-def filtered_topk(sf_dir: str, top_k: int = TOP_K):
-    """Filtered search (ES bool + range filter): each FILTERED_QUERIES row
-    runs full BM25 restricted to docs with token count in [dl_lo, dl_hi),
-    the filter applied against the resident ordinal->doc_len forward array
-    BEFORE the top-k cut and never rescaling scores
-    (QueryEngine.search_filtered).  Rank-identical to
-    sql.filtered_topk_sql."""
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, *_ in FILTERED_QUERIES],
-                             type=pa.int64()),
-        "query": pa.array([s for _, s, _, _ in FILTERED_QUERIES]),
-        "dl_lo": pa.array([lo for *_, lo, _ in FILTERED_QUERIES],
-                          type=pa.int64()),
-        "dl_hi": pa.array([hi for *_, hi in FILTERED_QUERIES],
-                          type=pa.int64()),
-    })
-    return _serve(idx, tbl, "filtered", k=top_k)
+def bm25_topk_sharded(sf_dir: str):
+    """bm25_topk through the doc-range fan-out over 2 ordinal ranges (the
+    100x serving shape: each pool holds only its slice of the index);
+    same oracle as bm25_topk."""
+    return _serve(_contract_index(sf_dir), _queries_table(), "text",
+                  n_query_shards=2)
 
 
 def suggest_topk(sf_dir: str, n: int = 5):
@@ -426,42 +387,6 @@ def suggest_topk(sf_dir: str, n: int = 5):
     prefs = norm_prefixes()
     tbl = _text_table(prefs)
     return run_suggest(rd.from_arrow(tbl), idx, n=n, concurrency=2)
-
-
-def fuzzy2_topk(sf_dir: str, top_k: int = TOP_K):
-    """Fuzzy search at maxEdits=2 (Lucene FuzzyQuery) through the index:
-    each FUZZY2_QUERIES token matches every term within Levenshtein
-    distance 2 via the Levenshtein-automaton x sorted-dictionary intersect
-    (QueryEngine.expand_fuzzy_automaton — iterations independent of
-    vocabulary size), scored as a qtf=1 BM25 bag.  Rank-identical to
-    sql.fuzzy_topk_sql's levenshtein(term, token) <= 2 oracle."""
-    idx = _contract_index(sf_dir)
-    toks = norm_fuzzy2()
-    tbl = _text_table(toks)
-    return _serve(idx, tbl, "fuzzy2", k=top_k)
-
-
-def wildcard_topk(sf_dir: str, top_k: int = TOP_K):
-    """Wildcard search (Lucene WildcardQuery) through the index: each
-    WILDCARD_QUERIES pattern (* = any run, ? = one char) rewrites against
-    the sorted term dictionary — literal-prefix-bounded run + one
-    vectorized LIKE kernel (QueryEngine.expand_wildcard) — and scores as a
-    qtf=1 BM25 bag.  Rank-identical to sql.wildcard_topk_sql's
-    ``term LIKE pattern`` oracle (shared * -> % translation)."""
-    idx = _contract_index(sf_dir)
-    pats = norm_wildcards()
-    tbl = _text_table(pats)
-    return _serve(idx, tbl, "wildcard", k=top_k)
-
-
-def bool_topk(sf_dir: str, top_k: int = TOP_K):
-    """Boolean search (Lucene BooleanQuery) through the index: BOOL_QUERIES
-    rows carry must/should/must_not token lists; a doc qualifies iff it has
-    ALL must tokens and NO must_not token, scored by summed BM25 units over
-    the distinct must+should tokens (QueryEngine.search_bool).
-    Rank-identical to sql.bool_topk_sql."""
-    return _serve(_contract_index(sf_dir), _bool_table(BOOL_QUERIES), "bool",
-                  k=top_k)
 
 
 # Query-string queries: raw Lucene/ES mini-language strings, parsed by
@@ -494,17 +419,6 @@ def parsed_qs_specs():
     return specs, boosts
 
 
-def query_string_topk(sf_dir: str, top_k: int = TOP_K):
-    """Elasticsearch query_string / Lucene classic parser (subset) through
-    the index: '+must -not term^boost' strings parsed once
-    (query.parse_query_string) and answered by the boolean machinery with
-    boost-weighted scoring qtf (QueryEngine.search_query_string).
-    Rank-identical to sql.bool_topk_sql(parsed, boosts=parsed)."""
-    idx = _contract_index(sf_dir)
-    tbl = _text_table(QS_QUERIES)
-    return _serve(idx, tbl, "query_string", k=top_k)
-
-
 # DisjunctionMax queries: (qid, [clause strings]) — each clause scores as
 # its own BM25 bag; combined = best + tie x rest.  (2) single clause ==
 # plain BM25; (3) one dead clause; (4) total miss.
@@ -530,107 +444,7 @@ BOOSTING_QUERIES: list[tuple[int, str, str]] = [
 NEG_BOOST = (1, 2)  # negative_boost 0.5 as an exact rational
 
 
-def dis_max_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
-    """Disjunction-max search (Lucene DisjunctionMaxQuery / ES dis_max):
-    per DISMAX_QUERIES row, each clause scores as its own complete BM25
-    bag; per doc, combined = best clause + DISMAX_TIE x (sum of the other
-    clauses), evaluated in integer units with floor division
-    (QueryEngine.search_dis_max).  Rank-identical to
-    sql.dis_max_topk_sql."""
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _ in DISMAX_QUERIES],
-                             type=pa.int64()),
-        "clauses": pa.array([c for _, c in DISMAX_QUERIES],
-                            type=pa.list_(pa.string())),
-    })
-    return _serve(idx, tbl, "dis_max", k=top_k, dismax_tie=DISMAX_TIE,
-                  n_query_shards=n_query_shards)
-
-
-def boosting_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
-    """Boosting query (Lucene BoostingQuery / ES boosting): BM25 over the
-    positive bag, docs also matching the negative bag demoted by
-    NEG_BOOST (exact rational, floor division), never excluded
-    (QueryEngine.search_boosting).  Rank-identical to
-    sql.boosting_topk_sql."""
-    idx = _contract_index(sf_dir)
-    tbl = pa.table({
-        "query_id": pa.array([q for q, _, _ in BOOSTING_QUERIES],
-                             type=pa.int64()),
-        "query": pa.array([p for _, p, _ in BOOSTING_QUERIES]),
-        "negative": pa.array([n for _, _, n in BOOSTING_QUERIES]),
-    })
-    return _serve(idx, tbl, "boosting", k=top_k, negative_boost=NEG_BOOST,
-                  n_query_shards=n_query_shards)
-
-
-def sort_topk(sf_dir: str, top_k: int = TOP_K, ascending: bool = False, *,
-              n_query_shards: int = 0):
-    """Field sort (Elasticsearch ``sort: [{doc_len: desc}]`` / Lucene
-    SortField): per DOC_QUERIES entry, the query filters and the page
-    orders by the doc_len doc-value (doc_id tiebreak) — no relevance
-    scoring, one forward-array gather per query.  Value-identical to
-    sql.sort_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "sort", k=top_k,
-                  sort_ascending=ascending, n_query_shards=n_query_shards)
-
-
-sort_topk_sharded = _sharded(sort_topk, """
-    sort_topk through the doc-range fan-out (per-shard pages re-sorted
-    on the same key and re-cut) — same oracle as sort_topk.""")
-
-
-def function_score_topk(sf_dir: str, top_k: int = TOP_K, *,
-                        n_query_shards: int = 0):
-    """Function-score query (ES ``function_score`` with
-    ``field_value_factor`` on the doc_len doc-value, boost_mode multiply
-    / Lucene FunctionScoreQuery): per DOC_QUERIES entry, final units =
-    BM25 units x doc_len, integer-exact
-    (QueryEngine.search_function_score).  Rank- and score-identical to
-    sql.function_score_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "function_score", k=top_k,
-                  n_query_shards=n_query_shards)
-
-
-function_score_topk_sharded = _sharded(function_score_topk, """
-    function_score_topk through the doc-range fan-out (per-range sums
-    are complete and the doc_len factor is per-doc, so per-shard units
-    are final; plain top-k merge) — same oracle as function_score_topk.""")
-
-
 TOP_HITS_N = 3  # per-lang-bucket size for the top_hits aggregation
-
-
-def top_hits_agg(sf_dir: str, group_n: int = TOP_HITS_N, *,
-                 n_query_shards: int = 0):
-    """Per-bucket top hits (Elasticsearch ``terms`` agg + ``top_hits``
-    sub-agg / Lucene grouping TopGroups): per DOC_QUERIES entry and lang
-    doc-value bucket, the best ``group_n`` docs over the FULL hit set —
-    served from the resident lang sidecar like collapse (one gather, no
-    postings re-read).  Value-identical to sql.top_hits_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "top_hits", group_n=group_n,
-                  ints=("grank",), n_query_shards=n_query_shards)
-
-
-top_hits_agg_sharded = _sharded(top_hits_agg, """
-    top_hits_agg through the doc-range fan-out (per-shard bucket pages
-    re-ranked and re-cut in the merge) — same oracle as top_hits_agg.""")
-
-
-dis_max_topk_sharded = _sharded(dis_max_topk, """
-    dis_max_topk through the doc-range fan-out (complete per-range
-    clause sums -> per-range combined pages, plain top-k merge) — same
-    oracle as dis_max_topk.""")
-
-
-boosting_topk_sharded = _sharded(boosting_topk, """
-    boosting_topk through the doc-range fan-out (the demotion is a
-    per-doc predicate over complete range sums, plain top-k merge) — same
-    oracle as boosting_topk.""")
 
 
 # --------------------------------------------------------- wider coverage --
@@ -1092,8 +906,7 @@ def _contract_index_pos(sf_dir: str) -> str:
     """Shared POSITIONAL contract index (build_index(positions=True)) —
     cached separately from _contract_index: positional staging carries an
     extra column, and the non-positional entries must not pay for it."""
-    key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    idx = os.path.join("/tmp/splade_ray_contract_pos", key)
+    idx = _cache_dir("pos", sf_dir)
     fp = fingerprint_files([os.path.join(sf_dir, "documents.parquet")])
     build_index(corpus_ds(sf_dir), idx, lang_tagged=False, n_shards=8,
                 corpus_fp=fp, positions=True)
@@ -1457,14 +1270,6 @@ def phrase_near_topk(sf_dir: str, top_k: int = TOP_K, ordered: bool = True):
                                require_all_terms=True)
 
 
-bm25_topk_sharded = _sharded(bm25_topk, """
-    Doc-partitioned query fan-out (SURVEY §2.4 A4): the ordinal space is
-    split across independent QueryEngine pools, per-range top-k merged by a
-    tiny groupby(query_id) — rank/score-identical to bm25_topk, same SQL
-    oracle.  This is the 100x serving shape (each pool's actors resident on
-    only their slice of the index).""", n_query_shards=2)
-
-
 def bm25_topk_docs(sf_dir: str):
     """BM25 results joined with doc metadata (A6 doc fetch: the reference
     returns pk+text with each hit, retrievers.py:81,140).  Hash join on
@@ -1480,7 +1285,7 @@ MLT_MAX_TERMS = 10   # Lucene MoreLikeThis maxQueryTerms analogue
 MLT_MIN_DF = 2       # minDocFreq: a df=1 term only matches its source
 
 
-def mlt_topk(sf_dir: str, top_k: int = TOP_K):
+def mlt_topk(sf_dir: str):
     """More-like-this (Lucene MoreLikeThisQuery): for each source doc (the
     MLT_N_SOURCES smallest doc ids — ordinals 0..2 by construction), select
     its MLT_MAX_TERMS highest tf·idf terms (df from the segment
@@ -1532,7 +1337,7 @@ def mlt_topk(sf_dir: str, top_k: int = TOP_K):
         "must_not": pa.array([[] for _ in qids], type=pa.list_(pa.string())),
         "exclude_ids": pa.array(excludes, type=pa.list_(pa.int64())),
     })
-    return _serve(idx, tbl, "bool", k=top_k)
+    return _serve(idx, tbl, "bool")
 
 
 SIG_MAX_TERMS = 10  # per query
@@ -1678,31 +1483,7 @@ def expand_synonym_qterms(
     return rows
 
 
-def synonym_topk(sf_dir: str, top_k: int = TOP_K):
-    """Query-time synonym search (Elasticsearch ``synonym_graph`` at search
-    time / Lucene SynonymQuery-as-BooleanQuery rewrite): each SYN_QUERIES
-    token expands to its SYNONYMS group inside the engine
-    (QueryEngine.search_synonym), qtf accumulating across overlapping
-    expansions, then plain BM25 over the expanded bag.  Rank-identical to
-    sql.qterms_topk_sql over expand_synonym_qterms' rows."""
-    idx = _contract_index(sf_dir)
-    tbl = _text_table(SYN_QUERIES)
-    return _serve(idx, tbl, "synonym", k=top_k, synonyms=SYNONYMS)
-
-
-def regexp_topk(sf_dir: str, top_k: int = TOP_K):
-    """Regexp search (Lucene RegexpQuery) through the index: each
-    REGEXP_QUERIES pattern rewrites against the sorted term dictionary —
-    literal-prefix-bounded run + one vectorized anchored-RE2 kernel
-    (QueryEngine.expand_regexp) — and scores as a qtf=1 BM25 bag.
-    Rank-identical to sql.regexp_topk_sql's regexp_full_match oracle."""
-    idx = _contract_index(sf_dir)
-    pats = norm_regexps()
-    tbl = _text_table(pats)
-    return _serve(idx, tbl, "regexp", k=top_k)
-
-
-def search_after_topk(sf_dir: str, top_k: int = TOP_K):
+def search_after_topk(sf_dir: str):
     """Deep pagination (Elasticsearch ``search_after``): page 1 is the
     ordinary BM25 top-k; its LAST row per query becomes the (score,
     doc_id) cursor, and page 2 is served by the engine's cursor filter
@@ -1730,7 +1511,7 @@ def search_after_topk(sf_dir: str, top_k: int = TOP_K):
                                  type=pa.int64()),
         "cursor_doc": pa.array([last[q][1] for q in qids], type=pa.int64()),
     })
-    return _serve(idx, tbl, "search_after", k=top_k)
+    return _serve(idx, tbl, "search_after")
 
 
 def percolate(sf_dir: str):
@@ -1787,28 +1568,6 @@ def percolate(sf_dir: str):
 RESCORE_WINDOW = 50
 
 
-def rescore_topk(sf_dir: str, top_k: int = TOP_K,
-                 window: int = RESCORE_WINDOW, *,
-                 n_query_shards: int = 0):
-    """Two-phase ranking (Elasticsearch ``rescore``): BM25 selects the
-    top-``window`` docs per DOC_QUERIES entry; only those are re-scored
-    with the IDF-coordination score and re-ranked by combined units
-    (QueryEngine.search_rescore).  The expensive phase touches ``window``
-    docs per query, never the corpus — the serving shape for costly
-    second-phase scorers.  Rank-identical to sql.rescore_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "rescore", k=top_k,
-                  rescore_window=window, n_query_shards=n_query_shards)
-
-
-rescore_topk_sharded = _sharded(rescore_topk, """
-    rescore_topk through the doc-range fan-out: each range runs the
-    window-partial (its complete-sums top-``window`` with bm25 AND coord
-    units); the merge re-cuts the GLOBAL window over the union and
-    combines — exact because per-range sums are complete, so per-range
-    windows cover the global one.  Same oracle as rescore_topk.""")
-
-
 def explain_top1(sf_dir: str):
     """Score explanation (Lucene/ES ``explain`` API): per-term breakdown —
     (term, qtf, df, tf, contribution) — for each DOC_QUERIES entry's
@@ -1824,7 +1583,7 @@ def explain_top1(sf_dir: str):
         "query": pa.array([qtext[q] for q in qids]),
         "doc_id": pa.array([top1[q] for q in qids], type=pa.int64()),
     })
-    return _serve(idx, tbl, "explain", ints=())
+    return _serve(idx, tbl, "explain")
 
 
 def highlight_topk(sf_dir: str, top_k: int = TOP_K, window: int = HL_WINDOW):
@@ -1890,48 +1649,7 @@ def highlight_topk(sf_dir: str, top_k: int = TOP_K, window: int = HL_WINDOW):
     })
 
 
-def collapse_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
-    """Field-collapsed search (Elasticsearch ``collapse``, Lucene grouping):
-    each DOC_QUERIES entry ranks ALL matching docs, keeps the single
-    best-ranked doc per ``lang`` doc-value group, and returns the top-k
-    group representatives.  The group key is read from the ordinal->lang
-    doc-values sidecar resident in each query actor (langvals.bin /
-    docmap/lv-*.bin — the Lucene SORTED DocValues analogue), so collapsing
-    costs one fancy-index gather over the hit set — no join against the
-    docs table, no second pass.  Rank/score/lang-identical to
-    sql.collapse_topk_sql.  Reference analogue: none — Milvus has no
-    grouping; this is native-index capability."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "collapse", k=top_k,
-                  n_query_shards=n_query_shards)
-
-
-def lang_terms_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Terms aggregation over the FULL hit set (Elasticsearch ``terms``
-    aggregation with a ``max`` sub-aggregation — not the top-k page,
-    which search_facets already covers): per (query, lang doc-value
-    bucket), the live matching-doc count and the best BM25 score.  At 100
-    TB this is the shape that matters: millions of matching docs never
-    leave the query actor — one bincount over resident uint8 doc-values —
-    versus a hit-set-sized shuffle join against the docs table.
-    Value-identical to sql.lang_terms_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "lang_agg", ints=(),
-                  n_query_shards=n_query_shards)
-
-
 HIST_WIDTH = 16
-
-
-def dl_histogram(sf_dir: str, width: int = HIST_WIDTH):
-    """Histogram aggregation over the FULL hit set (Elasticsearch
-    ``histogram`` agg on a numeric doc-value): per DOC_QUERIES entry,
-    bucket = (doc_len // width) * width with the live matching-doc count,
-    served from the resident doc_len forward array — one gather + one
-    bincount per query, hits never leave the actor.  Value-identical to
-    sql.dl_histogram_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "dl_hist", hist_width=width, ints=())
 
 
 # Explicit [lo, hi) doc_len buckets for the range aggregation (ES range
@@ -1940,58 +1658,19 @@ def dl_histogram(sf_dir: str, width: int = HIST_WIDTH):
 DL_RANGES: list[tuple[int, "int | None"]] = [(0, 40), (40, 70), (70, None)]
 
 
-def stats_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Stats aggregation over the FULL hit set (Elasticsearch ``stats``
-    agg on a numeric doc-value): per DOC_QUERIES entry, (n_hits, min, max,
-    sum, avg) of doc_len across every live matching doc — one forward-array
-    gather + four numpy reductions per query, hits never leave the actor.
-    Value-identical to sql.stats_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "stats", ints=(),
-                  n_query_shards=n_query_shards)
-
-
-def range_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Range aggregation over the FULL hit set (Elasticsearch ``range``
-    agg on a numeric doc-value): per DOC_QUERIES entry and DL_RANGES
-    bucket, the live matching-doc count (empty buckets omitted, like the
-    GROUP BY oracle).  Value-identical to sql.range_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "range", dl_ranges=DL_RANGES, ints=(),
-                  n_query_shards=n_query_shards)
-
-
 # mget contract predicate: docs whose RAW path id ≡ MGET_RESIDUE (mod
 # MGET_MOD) form the explicit id list (SQL renders the same predicate)
 MGET_MOD = 11
 MGET_RESIDUE = 4
 
 
-def _mget_queries_table(idx: str) -> pa.Table:
+def _mget_queries_table(sf_dir: str, idx: str) -> pa.Table:
     ids = _ids_by_residue(idx, MGET_MOD, MGET_RESIDUE)
     return pa.table({
         "query_id": pa.array([0], type=pa.int64()),
         "query": pa.array([",".join(str(i) for i in sorted(ids))],
                           type=pa.string()),
     })
-
-
-def mget_docs(sf_dir: str, *, n_query_shards: int = 0):
-    """Forward-index multi-get (Elasticsearch mget / ids query; Milvus
-    Collection.get — the reference fetches hit metadata by pk,
-    retrievers.py:146): doc-values (doc_id, doc_len, lang) for an explicit
-    id list, served by one docmap searchsorted + two gathers, no posting
-    access.  The id list is the shared residue predicate so the oracle can
-    render it in SQL.  Value-identical to sql.mget_docs_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _mget_queries_table(idx), "mget", concurrency=1,
-                  ints=(), n_query_shards=n_query_shards)
-
-
-mget_docs_sharded = _sharded(mget_docs, """
-    mget_docs through the doc-range fan-out: each range resolves only
-    its own ordinals (absent ids drop), merged by union + doc_id re-sort —
-    same oracle as mget_docs.""")
 
 
 # term-vectors doc selector: a second residue predicate (distinct from
@@ -2045,51 +1724,9 @@ def term_vectors(sf_dir: str):
     return tv.map_batches(_with_df, batch_format="pyarrow")
 
 
-def lang_stats_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Terms aggregation with a stats sub-agg (Elasticsearch ``terms`` +
-    ``stats`` sub-aggregation): per DOC_QUERIES entry and lang doc-value
-    bucket, (n_hits, min, max, sum, avg) of doc_len over EVERY live
-    matching doc.  Value-identical to sql.lang_stats_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "lang_stats", ints=(),
-                  n_query_shards=n_query_shards)
-
-
-lang_stats_agg_sharded = _sharded(lang_stats_agg, """
-    lang_stats_agg through the doc-range fan-out (per-(query, lang)
-    counts/sums add, mins min, maxs max; avg recomputed from exact
-    integer sums) — same oracle as lang_stats_agg.""")
-
-
-def ext_stats_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Extended-stats aggregation over the FULL hit set (Elasticsearch
-    ``extended_stats`` agg on a numeric doc-value): stats_agg plus the
-    exact integer sum of squares — the sufficient statistic for variance /
-    std_dev, which derive at the output layer from the exact sums (shard
-    merges add n/sum/sum_sq and re-derive losslessly, zero approximation).
-    Value-identical to sql.ext_stats_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "ext_stats", ints=(),
-                  n_query_shards=n_query_shards)
-
-
 # random_score seed — both the engine hash (query.h63) and the SQL oracle
 # (sql.H63_SQL) embed it in the '{seed}:{doc_id}' preimage
 RS_SEED = 42
-
-
-def random_score_topk(sf_dir: str, top_k: int = TOP_K, *,
-                      n_query_shards: int = 0):
-    """Seeded random-score ranking (Elasticsearch ``function_score`` +
-    ``random_score`` with an explicit seed and field — deterministic per
-    (seed, doc)): per DOC_QUERIES entry, the hit set ranked by the
-    sha256-derived 63-bit hash of '{seed}:{doc_id}' DESC (ties doc_id
-    ASC), cut to k — reproducible hit-set shuffling, the deterministic
-    serving-time sampler.  Per-shard top-k merges exactly (selection by a
-    per-doc key).  Rank-identical to sql.random_score_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "random_score", k=top_k,
-                  random_seed=RS_SEED, n_query_shards=n_query_shards)
 
 
 # adjacency_matrix cells: (pair_id, filter query A, filter query B).
@@ -2103,39 +1740,12 @@ ADJ_PAIRS: list[tuple[int, str, str]] = [
 ]
 
 
-def adjacency_matrix(sf_dir: str, *, n_query_shards: int = 0):
-    """Adjacency-matrix aggregation (Elasticsearch ``adjacency_matrix``
-    agg): per ADJ_PAIRS cell, the number of live docs matching BOTH filter
-    queries (presence = positive quantized BM25 sum, the shared hit rule).
-    Presence sets are complete per ordinal range and every doc lives in
-    exactly one range, so per-shard cells ADD — an exactly distributed
-    set-intersection size.  Value-identical to sql.adjacency_matrix_sql."""
-    idx = _contract_index(sf_dir)
-    tbl = _text_table([(p, f"{a}|||{b}") for p, a, b in ADJ_PAIRS])
-    return _serve(idx, tbl, "adjacency", ints=(),
-                  n_query_shards=n_query_shards)
-
-
 # pinned set: the first PIN_N doc_ids (ASC) whose RAW path id satisfies
 # the residue predicate — small and explicit (ES pins a handful of docs),
 # SQL-renderable exactly like the mget id list
 PIN_MOD = 13
 PIN_RESIDUE = 5
 PIN_N = 4
-
-
-def pinned_topk(sf_dir: str, top_k: int = TOP_K, *, n_query_shards: int = 0):
-    """Pinned query (Elasticsearch ``pinned`` query / Solr
-    QueryElevationComponent): per DOC_QUERIES entry, the PIN_N promoted
-    docs rank first (doc_id ASC, score = their complete BM25 sum — 0 when
-    the query doesn't match them, the ES pinned contract), then the
-    organic ranking with pinned docs excluded, cut to k overall.
-    Rank-identical to sql.pinned_topk_sql."""
-    idx = _contract_index(sf_dir)
-    pins = [int(i) for i in
-            np.sort(_ids_by_residue(idx, PIN_MOD, PIN_RESIDUE))[:PIN_N]]
-    return _serve(idx, _queries_table(), "pinned", k=top_k, pinned_ids=pins,
-                  n_query_shards=n_query_shards)
 
 
 # term-suggester inputs: misspellings of real corpus terms (deletion /
@@ -2158,78 +1768,14 @@ def norm_suggest_tokens() -> list[tuple[int, str]]:
     return _norm_first_token(TERM_SUGGEST_QUERIES)
 
 
-def term_suggest(sf_dir: str):
-    """Term suggester (Elasticsearch ``term`` suggester / Lucene
-    DirectSpellChecker): per TERM_SUGGEST_QUERIES token, dictionary terms
-    within Levenshtein distance [1, SUGGEST_MAX_EDITS], ranked distance
-    ASC, build-time df DESC, term ASC, cut to SUGGEST_N.  Candidates come
-    from the same Levenshtein-automaton x sorted-dictionary intersect
-    FuzzyQuery uses (QueryEngine.expand_fuzzy_automaton — iterations
-    independent of vocabulary size); postings are never decoded (df is
-    frozen in the dictionary).  Value-identical to sql.term_suggest_sql."""
-    idx = _contract_index(sf_dir)
-    toks = norm_suggest_tokens()
-    tbl = _text_table(toks)
-    return _serve(idx, tbl, "term_suggest", suggest_n=SUGGEST_N,
-                  suggest_max_edits=SUGGEST_MAX_EDITS)
-
-
-def rank_eval(sf_dir: str, top_k: int = TOP_K):
-    """Ranking-quality evaluation (Elasticsearch ``_rank_eval``): per
-    DOC_QUERIES entry, judge the BM25 top-k page against the
-    deterministic relevance rule "matches every distinct query term"
-    (conjunctive presence).  Emits the integer sufficient statistics
-    (n_rel, rel_in_topk, first_rel_rank) from which precision@k and MRR
-    derive exactly — no float crosses the oracle boundary.
-    Value-identical to sql.rank_eval_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "rank_eval", k=top_k, ints=())
-
-
 # constant_score boost — a non-1.0 value proves the constant actually
 # flows through (not a default float)
 CONST_BOOST = 1.5
 
 
-def constant_score_topk(sf_dir: str, top_k: int = TOP_K, *,
-                        n_query_shards: int = 0):
-    """Constant-score query (Elasticsearch ``constant_score`` / Lucene
-    ConstantScoreQuery): per DOC_QUERIES entry, the text acts purely as a
-    filter — every live matching doc scores CONST_BOOST, so the page is
-    the first k hits in doc_id order.  Rank-identical to
-    sql.constant_score_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "constant_score", k=top_k,
-                  const_boost=CONST_BOOST, n_query_shards=n_query_shards)
-
-
 # rank_feature saturation pivot (ES defaults to the field's approximate
 # geometric mean; fixed here so the oracle can embed it)
 RF_PIVOT = 50
-
-
-def rank_feature_topk(sf_dir: str, top_k: int = TOP_K, *,
-                      n_query_shards: int = 0):
-    """Rank-feature query (Elasticsearch ``rank_feature`` + ``saturation``
-    on a numeric doc-value): per DOC_QUERIES entry, hits rank by the
-    integer-quantized saturation key (doc_len * SCALE) // (doc_len +
-    RF_PIVOT) DESC, ties doc_id ASC — floor division on both sides makes
-    the quantization bit-exact.  Rank-identical to
-    sql.rank_feature_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "rank_feature", k=top_k,
-                  rf_pivot=RF_PIVOT, n_query_shards=n_query_shards)
-
-
-def mad_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Median-absolute-deviation aggregation over the FULL hit set
-    (Elasticsearch ``median_absolute_deviation`` agg — EXACT here, not
-    t-digest: both medians are discrete quantiles over the bounded
-    doc_len value histogram, so sharded merges recompute identical
-    values from summed histograms).  Value-identical to sql.mad_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "mad", ints=(),
-                  n_query_shards=n_query_shards)
 
 
 # composite-agg page spec: (lang ASC, doc_len-histogram ASC) sources,
@@ -2238,118 +1784,6 @@ def mad_agg(sf_dir: str, *, n_query_shards: int = 0):
 COMP_WIDTH = 16
 COMP_SIZE = 4
 COMP_AFTER = ("de", 16)
-
-
-def composite_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Composite aggregation (Elasticsearch ``composite`` agg, two
-    sources: lang terms ASC + doc_len histogram ASC) with after-key
-    pagination: per DOC_QUERIES entry, the COMP_SIZE buckets strictly
-    after COMP_AFTER in (lang, bucket) order with live matching-doc
-    counts.  The bucket list is bounded by the doc-value domains, so
-    shards merge exactly by summing per-bucket counts before the
-    after-filter + cut.  Value-identical to sql.composite_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "composite", comp_width=COMP_WIDTH,
-                  comp_size=COMP_SIZE, comp_after=COMP_AFTER, ints=(),
-                  n_query_shards=n_query_shards)
-
-
-def cardinality_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Cardinality aggregation over the FULL hit set (Elasticsearch
-    ``cardinality`` agg on the lang doc-value): per DOC_QUERIES entry, the
-    DISTINCT lang count across every live matching doc — exact (small
-    doc-value domain; ES's HLL approximation is unnecessary), one gather +
-    np.unique per query.  Value-identical to sql.cardinality_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "cardinality", ints=(),
-                  n_query_shards=n_query_shards)
-
-
-def percentiles_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Percentiles aggregation over the FULL hit set (Elasticsearch
-    ``percentiles`` agg on a numeric doc-value): per DOC_QUERIES entry,
-    exact discrete p25/p50/p75/p99 of doc_len across every live matching
-    doc (DuckDB quantile_disc semantics — query.disc_percentiles).
-    Value-identical to sql.percentiles_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "percentiles", ints=(),
-                  n_query_shards=n_query_shards)
-
-
-cardinality_agg_sharded = _sharded(cardinality_agg, """
-    cardinality_agg through the doc-range fan-out: per-shard partials
-    are the distinct (query, lang) pairs of their ordinal range, merged by
-    distinct-union size — exact at any shard count.  Same oracle as
-    cardinality_agg.""")
-
-
-percentiles_agg_sharded = _sharded(percentiles_agg, """
-    percentiles_agg through the doc-range fan-out: per-shard partials
-    are exact (dl, count) value histograms (bounded by the doc_len domain,
-    not the hit count), summed then reduced to EXACT percentiles — the
-    bounded-domain alternative to t-digest merging, zero approximation
-    error.  Same oracle as percentiles_agg.""")
-
-
-stats_agg_sharded = _sharded(stats_agg, """
-    stats_agg through the doc-range fan-out (counts/sums add, mins min,
-    maxs max, avg recomputed from exact integer sums) — same oracle as
-    stats_agg.""")
-
-
-range_agg_sharded = _sharded(range_agg, """
-    range_agg through the doc-range fan-out (per-bucket counts sum
-    across ranges) — same oracle as range_agg.""")
-
-
-ext_stats_agg_sharded = _sharded(ext_stats_agg, """
-    ext_stats_agg through the doc-range fan-out (counts/sums/sum_sqs
-    add, mins min, maxs max; floats re-derived from the exact merged
-    integers) — same oracle as ext_stats_agg.""")
-
-
-random_score_topk_sharded = _sharded(random_score_topk, """
-    random_score_topk through the doc-range fan-out (selection by a
-    per-doc hash key: every doc lives in exactly one range, so the union
-    re-cut is the global page) — same oracle as random_score_topk.""")
-
-
-adjacency_matrix_sharded = _sharded(adjacency_matrix, """
-    adjacency_matrix through the doc-range fan-out (per-shard
-    intersection cells ADD — presence sets are complete per range) —
-    same oracle as adjacency_matrix.""")
-
-
-pinned_topk_sharded = _sharded(pinned_topk, """
-    pinned_topk through the doc-range fan-out (each range owns its
-    pinned ordinals; the merge unions the pinned legs doc_id ASC and
-    re-cuts the organic legs) — same oracle as pinned_topk.""")
-
-
-constant_score_topk_sharded = _sharded(constant_score_topk, """
-    constant_score_topk through the doc-range fan-out (first-k-by-
-    doc_id pages re-cut) — same oracle as constant_score_topk.""")
-
-
-rank_feature_topk_sharded = _sharded(rank_feature_topk, """
-    rank_feature_topk through the doc-range fan-out (plain top-k merge
-    — the float score is an exact image of the integer saturation key) —
-    same oracle as rank_feature_topk.""")
-
-
-mad_agg_sharded = _sharded(mad_agg, """
-    mad_agg through the doc-range fan-out: per-shard partials are the
-    exact (dl, count) value histograms (the percentiles partial), summed
-    then reduced by the shared discrete-quantile kernel — zero
-    approximation, unlike ES's merged t-digests.  Same oracle as
-    mad_agg.""")
-
-
-composite_agg_sharded = _sharded(composite_agg, """
-    composite_agg through the doc-range fan-out: a global-page bucket
-    survives every shard-local cut, so all its partial counts reach the
-    merge — sum per (lang, bucket), re-sort, re-filter, re-cut.  Same
-    oracle as composite_agg.""")
 
 
 # named (bucket, filter-query) specs for the filters agg — one never-
@@ -2374,94 +1808,6 @@ TT_PAIRS: list[tuple[int, str, str]] = [
 SCROLL_PAGES = 3
 
 
-def boxplot_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Boxplot aggregation over the FULL hit set (Elasticsearch
-    ``boxplot`` agg on a numeric doc-value — EXACT, not TDigest: the
-    quartiles are discrete quantiles over the bounded doc_len value
-    histogram, so sharded merges recompute identical values from summed
-    histograms).  Value-identical to sql.boxplot_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "boxplot", ints=(),
-                  n_query_shards=n_query_shards)
-
-
-boxplot_agg_sharded = _sharded(boxplot_agg, """
-    boxplot_agg through the doc-range fan-out: per-shard partials are
-    the exact (dl, count) value histograms (the percentiles partial),
-    summed then reduced by the shared discrete-quantile kernel.  Same
-    oracle as boxplot_agg.""")
-
-
-def filters_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Filters aggregation (Elasticsearch ``filters`` agg): per
-    DOC_QUERIES entry and named FILTER_BUCKETS spec, the count of live
-    main-query hits whose doc also matches the bucket's filter query
-    (presence = positive quantized BM25 sum, the adjacency hit rule).
-    Zero-count buckets are omitted.  Value-identical to
-    sql.filters_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "filters",
-                  filter_buckets=FILTER_BUCKETS, ints=(),
-                  n_query_shards=n_query_shards)
-
-
-filters_agg_sharded = _sharded(filters_agg, """
-    filters_agg through the doc-range fan-out: both presence sets are
-    complete per ordinal range and every doc lives in exactly one range,
-    so per-(query, bucket) counts ADD.  Same oracle as filters_agg.""")
-
-
-def weighted_avg_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Weighted-average aggregation (Elasticsearch ``weighted_avg``,
-    value = doc_len, weight = the doc's tf of the query's first analyzed
-    token): per DOC_QUERIES entry, den = Σ tf and num = Σ doc_len·tf
-    over the full hit set — exact integers, one float division at the
-    end.  Queries with zero weight mass emit no row (the SQL HAVING
-    twin).  Value-identical to sql.weighted_avg_agg_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "weighted_avg", ints=(),
-                  n_query_shards=n_query_shards)
-
-
-weighted_avg_agg_sharded = _sharded(weighted_avg_agg, """
-    weighted_avg_agg through the doc-range fan-out: per-shard integer
-    partials (weighted_avg_partial — no HAVING rule, so hit-bearing
-    shards without weight mass still contribute n_hits) sum exactly; the
-    merge re-applies the emission rule and the single division.  Same
-    oracle as weighted_avg_agg.""")
-
-
-def t_test_agg(sf_dir: str, *, n_query_shards: int = 0):
-    """Welch's t-test aggregation (Elasticsearch ``t_test`` agg,
-    ``type: heteroscedastic``): per TT_PAIRS cell, the exact integer
-    sufficient statistics (n, Σdl, Σdl²) of each term-filter population's
-    live hit set, plus the float (mean1, mean2, t_stat) derived via the
-    shared fixed-order welch_t_floats.  Pairs where either side has
-    n < 2 emit no row.  Value-identical to sql.t_test_agg_sql."""
-    idx = _contract_index(sf_dir)
-    tbl = _text_table([(p, f"{a}|||{b}") for p, a, b in TT_PAIRS])
-    return _serve(idx, tbl, "t_test", ints=(), n_query_shards=n_query_shards)
-
-
-t_test_agg_sharded = _sharded(t_test_agg, """
-    t_test_agg through the doc-range fan-out: per-shard integer
-    sufficient statistics (t_test_partial — no n >= 2 skip rule, a side
-    can reach 2 only globally) ADD; the merge re-derives the floats via
-    the shared kernel.  Same oracle as t_test_agg.""")
-
-
-def scroll_topk(sf_dir: str, top_k: int = TOP_K, pages: int = SCROLL_PAGES):
-    """Deep pagination (Elasticsearch ``scroll`` / point-in-time
-    iteration): per DOC_QUERIES entry, SCROLL_PAGES consecutive fixed-k
-    result pages from ONE complete-sums scoring pass (the snapshot
-    batch-export shape — search_after re-scores per cursor request;
-    scroll amortizes the posting traversal across pages).  Rank-identical
-    to sql.scroll_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "scroll", k=top_k, scroll_pages=pages,
-                  ints=("page", "rank"))
-
-
 # phrase-suggester queries: 1-edit misspellings over the corpus vocab
 # (one token may be exact — d=0 candidates are kept, the ES generator
 # convention), one with an unreachable token (no suggestions at all)
@@ -2475,29 +1821,6 @@ PHRASE_SUGGEST_QUERIES: list[tuple[int, str]] = [
 PS_MAX_EDITS = 1
 PS_CAND_N = 5
 PS_N = 5
-
-
-def phrase_suggest(sf_dir: str, *, n_query_shards: int = 0):
-    """Phrase suggester (Elasticsearch ``phrase`` suggester with exact
-    ``collate`` pruning): per PHRASE_SUGGEST_QUERIES entry, each token
-    generates dictionary candidates within PS_MAX_EDITS (d=0 kept),
-    capped to PS_CAND_N per position by (distance ASC, df DESC, term
-    ASC); candidate phrases score by document co-occurrence count,
-    ranked (n_docs DESC, phrase ASC), cut to PS_N.  Value-identical to
-    sql.phrase_suggest_sql."""
-    idx = _contract_index(sf_dir)
-    tbl = _text_table(PHRASE_SUGGEST_QUERIES)
-    return _serve(idx, tbl, "phrase_suggest", suggest_max_edits=PS_MAX_EDITS,
-                  phrase_cand_n=PS_CAND_N, suggest_n=PS_N, ints=(),
-                  n_query_shards=n_query_shards)
-
-
-phrase_suggest_sharded = _sharded(phrase_suggest, """
-    phrase_suggest through the doc-range fan-out: candidate
-    generation scans the global dictionary identically in every shard,
-    presence sets are complete per ordinal range, so per-shard
-    co-occurrence counts ADD; the merge re-ranks the summed counts.
-    Same oracle as phrase_suggest.""")
 
 
 # multi_match queries: content-only, source-only, mixed, and no-match
@@ -2537,29 +1860,12 @@ def source_field_corpus_ds(sf_dir: str):
 def _contract_index_src(sf_dir: str) -> str:
     """Build (or resume) the source-FIELD index beside the content one —
     its own df/avgdl statistics, same doc_id space."""
-    key = hashlib.sha256(
-        (os.path.abspath(sf_dir) + ":field=source").encode()
-    ).hexdigest()[:12]
-    idx = os.path.join("/tmp/splade_ray_contract", key)
+    idx = _cache_dir("src", sf_dir)
     fp = fingerprint_files(
         [os.path.join(sf_dir, "documents.parquet")]) + "-src"
     build_index(source_field_corpus_ds(sf_dir), idx, lang_tagged=False,
                 n_shards=4, corpus_fp=fp)
     return idx
-
-
-def multi_match_topk(sf_dir: str, top_k: int = TOP_K):
-    """Multi-field search (Elasticsearch ``multi_match`` type=best_fields
-    tie_breaker=0 / Lucene DisjunctionMaxQuery across fields): per
-    MM_QUERIES entry, the query scores independently against the content
-    index and the source FIELD index (each with its own df/avgdl — the
-    ES per-field-statistics rule), a doc takes the max, top-k under
-    (score DESC, doc_id ASC).  Rank-identical to
-    sql.multi_match_topk_sql."""
-    idx = _contract_index(sf_dir)
-    idx2 = _contract_index_src(sf_dir)
-    tbl = _text_table(MM_QUERIES)
-    return _serve(idx, tbl, "multi_match", k=top_k, aux_index_dir=idx2)
 
 
 class _TfidfKeywords:
@@ -2658,25 +1964,6 @@ def tfidf_keywords(sf_dir: str, n: int = 5, concurrency: int = 2):
 DF_ORIGIN = 60
 
 
-def distance_feature_topk(sf_dir: str, top_k: int = TOP_K, *,
-                          n_query_shards: int = 0):
-    """Distance-feature query (Elasticsearch ``distance_feature`` /
-    Lucene newDistanceFeatureQuery): per DOC_QUERIES entry, hits rank by
-    closeness of the doc_len doc-value to DF_ORIGIN — integer distance
-    ASC, doc_id ASC, cut to k (ES's boost/(boost + dist/pivot) is
-    monotone in dist, so ranks are identical with no float in the
-    oracle).  Rank-identical to sql.distance_feature_topk_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "distance_feature", k=top_k,
-                  df_origin=DF_ORIGIN, n_query_shards=n_query_shards)
-
-
-distance_feature_topk_sharded = _sharded(distance_feature_topk, """
-    distance_feature_topk through the doc-range fan-out: selection by
-    a per-doc key, so per-shard pages re-cut exactly under (dist ASC,
-    doc_id ASC).  Same oracle as distance_feature_topk.""")
-
-
 # _analyze API inputs: identifier splitting, case folding, punctuation
 # stripping, digits, a zero-token string — the analyzer's full surface
 ANALYZE_TEXTS: list[tuple[int, str]] = [
@@ -2723,28 +2010,6 @@ def analyze_api(sf_dir: str):
     return rd.from_arrow(tbl).map_batches(_b, batch_format="pyarrow")
 
 
-collapse_topk_sharded = _sharded(collapse_topk, """
-    collapse_topk through the doc-range query fan-out
-    (run_queries_sharded, 3 ordinal ranges): per-shard collapse pages
-    merged by the lang-aware exact merge — same oracle as collapse_topk,
-    proving the scale path end-to-end under the driver gate.""")
-
-
-lang_terms_agg_sharded = _sharded(lang_terms_agg, """
-    lang_terms_agg through the doc-range fan-out (counts sum, best
-    scores max across ranges) — same oracle as lang_terms_agg.""")
-
-
-def total_hits(sf_dir: str):
-    """Total live matching-doc count per query (Elasticsearch
-    ``track_total_hits: true``): the size of the tombstone-masked union of
-    the query terms' posting lists with a positive quantized score — one
-    row per query, zero-hit queries included.  Value-identical to
-    sql.total_hits_sql."""
-    idx = _contract_index(sf_dir)
-    return _serve(idx, _queries_table(), "count", ints=())
-
-
 def rrf_hybrid(sf_dir: str):
     """RRF fusion (k=60) of the BM25 top-10 and the IDF-coordination top-10
     — the reference's hybrid_search + RRFRanker shape (retrievers.py:130-150)
@@ -2780,8 +2045,7 @@ def bm25_topk_merged(sf_dir: str):
     contract is score-identity with a single build."""
     from .merge import merge_index_dirs
 
-    key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    root = os.path.join("/tmp/splade_ray_contract_merge", key)
+    root = _cache_dir("merge", sf_dir)
 
     def _parity_filter(t: pa.Table, parity: int) -> pa.Table:
         raw = pc.cast(t["path"], pa.int64())
@@ -2857,8 +2121,7 @@ def _deleted_index(sf_dir: str) -> str:
     delete_docs is an idempotent union, so re-entry is safe."""
     from .delete import delete_docs
 
-    key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    idx = os.path.join("/tmp/splade_ray_contract_del", key, "base")
+    idx = os.path.join(_cache_dir("del", sf_dir), "base")
     fp = fingerprint_files([os.path.join(sf_dir, "documents.parquet")])
     build_index(corpus_ds(sf_dir), idx, lang_tagged=False, n_shards=8,
                 corpus_fp=fp)
@@ -2990,3 +2253,140 @@ def rrf_dense_sparse(sf_dir: str):
         )
     )
     return rrf_fuse([sparse, dense])
+
+
+# ------------------------------------------------------- served entries --
+# Every contract entry that only picks a query table and constant engine
+# keywords for one query kind is one row here; the module generates its
+# function (and, for ``shard`` rows, the doc-range twin ``<name>_sharded``
+# over 3 ordinal ranges, answered through run_queries_sharded against the
+# same oracle).  Entries that do more stay hand-written above and call
+# _serve themselves.
+
+@dataclass(frozen=True)
+class Served:
+    """One engine-served entry: ``kind`` is a query.KINDS key; ``queries``
+    is the query table (DOC_QUERIES by default) and ``kw`` the constant
+    QueryEngine keywords — either may instead be a callable of
+    ``(sf_dir, index_dir)``."""
+
+    name: str
+    kind: str
+    queries: "pa.Table | Callable[[str, str], pa.Table]" = field(
+        default_factory=_queries_table)
+    kw: "dict | Callable[[str, str], dict]" = field(default_factory=dict)
+    shard: bool = False
+
+
+def _pinned_kw(sf_dir: str, idx: str) -> dict:
+    pins = np.sort(_ids_by_residue(idx, PIN_MOD, PIN_RESIDUE))[:PIN_N]
+    return {"pinned_ids": [int(i) for i in pins]}
+
+
+def _pair_table(pairs: list[tuple[int, str, str]]) -> pa.Table:
+    """(id, filter A, filter B) cells -> one 'A|||B' query per cell."""
+    return _text_table([(p, f"{a}|||{b}") for p, a, b in pairs])
+
+
+SERVED: tuple[Served, ...] = (
+    Served("prefix_topk", "prefix", _text_table(norm_prefixes())),
+    Served("fuzzy_topk", "fuzzy", _text_table(norm_fuzzy())),
+    Served("fuzzy2_topk", "fuzzy2", _text_table(norm_fuzzy2())),
+    Served("wildcard_topk", "wildcard", _text_table(norm_wildcards())),
+    Served("filtered_topk", "filtered", _rows_table(
+        FILTERED_QUERIES, query_id=_I64, query=_STR, dl_lo=_I64,
+        dl_hi=_I64)),
+    Served("bool_topk", "bool", _bool_table(BOOL_QUERIES)),
+    Served("bool_msm_topk", "bool", _bool_table(BOOL_MSM_QUERIES,
+                                                min_should_match=_I64)),
+    Served("query_string_topk", "query_string", _text_table(QS_QUERIES)),
+    Served("dis_max_topk", "dis_max", _rows_table(
+        DISMAX_QUERIES, query_id=_I64, clauses=_STRS),
+        {"dismax_tie": DISMAX_TIE}, shard=True),
+    Served("boosting_topk", "boosting", _rows_table(
+        BOOSTING_QUERIES, query_id=_I64, query=_STR, negative=_STR),
+        {"negative_boost": NEG_BOOST}, shard=True),
+    Served("sort_topk", "sort", kw={"sort_ascending": False}, shard=True),
+    Served("function_score_topk", "function_score", shard=True),
+    Served("top_hits_agg", "top_hits", kw={"group_n": TOP_HITS_N},
+           shard=True),
+    Served("synonym_topk", "synonym", _text_table(SYN_QUERIES),
+           {"synonyms": SYNONYMS}),
+    Served("regexp_topk", "regexp", _text_table(norm_regexps())),
+    Served("rescore_topk", "rescore", kw={"rescore_window": RESCORE_WINDOW},
+           shard=True),
+    Served("collapse_topk", "collapse", shard=True),
+    Served("lang_terms_agg", "lang_agg", shard=True),
+    Served("dl_histogram", "dl_hist", kw={"hist_width": HIST_WIDTH}),
+    Served("stats_agg", "stats", shard=True),
+    Served("range_agg", "range", kw={"dl_ranges": DL_RANGES}, shard=True),
+    Served("mget_docs", "mget", _mget_queries_table, shard=True),
+    Served("lang_stats_agg", "lang_stats", shard=True),
+    Served("ext_stats_agg", "ext_stats", shard=True),
+    Served("random_score_topk", "random_score", kw={"random_seed": RS_SEED},
+           shard=True),
+    Served("adjacency_matrix", "adjacency", _pair_table(ADJ_PAIRS),
+           shard=True),
+    Served("pinned_topk", "pinned", kw=_pinned_kw, shard=True),
+    Served("term_suggest", "term_suggest",
+           _text_table(norm_suggest_tokens()),
+           {"suggest_n": SUGGEST_N, "suggest_max_edits": SUGGEST_MAX_EDITS}),
+    Served("rank_eval", "rank_eval"),
+    Served("constant_score_topk", "constant_score",
+           kw={"const_boost": CONST_BOOST}, shard=True),
+    Served("rank_feature_topk", "rank_feature", kw={"rf_pivot": RF_PIVOT},
+           shard=True),
+    Served("mad_agg", "mad", shard=True),
+    Served("composite_agg", "composite",
+           kw={"comp_width": COMP_WIDTH, "comp_size": COMP_SIZE,
+               "comp_after": COMP_AFTER}, shard=True),
+    Served("cardinality_agg", "cardinality", shard=True),
+    Served("percentiles_agg", "percentiles", shard=True),
+    Served("boxplot_agg", "boxplot", shard=True),
+    Served("filters_agg", "filters", kw={"filter_buckets": FILTER_BUCKETS},
+           shard=True),
+    Served("weighted_avg_agg", "weighted_avg", shard=True),
+    Served("t_test_agg", "t_test", _pair_table(TT_PAIRS), shard=True),
+    Served("scroll_topk", "scroll", kw={"scroll_pages": SCROLL_PAGES}),
+    Served("phrase_suggest", "phrase_suggest",
+           _text_table(PHRASE_SUGGEST_QUERIES),
+           {"suggest_max_edits": PS_MAX_EDITS, "phrase_cand_n": PS_CAND_N,
+            "suggest_n": PS_N}, shard=True),
+    Served("multi_match_topk", "multi_match", _text_table(MM_QUERIES),
+           kw=lambda sf_dir, idx: {
+               "aux_index_dir": _contract_index_src(sf_dir)}),
+    Served("distance_feature_topk", "distance_feature",
+           kw={"df_origin": DF_ORIGIN}, shard=True),
+    Served("total_hits", "count"),
+)
+
+# the QueryEngine method answering a kind, where it is not search_<kind>
+_METHOD = {"count": "count_hits", "mget": "mget",
+           "percentiles": "search_dl_value_counts",
+           "term_suggest": "suggest_terms", "phrase_suggest": "suggest_phrase"}
+
+
+def _entry(row: Served, n_query_shards: int = 0):
+    def entry(sf_dir: str):
+        idx = _contract_index(sf_dir)
+        q, kw = row.queries, row.kw
+        q = q(sf_dir, idx) if callable(q) else q
+        kw = kw(sf_dir, idx) if callable(kw) else kw
+        return _serve(idx, q, row.kind, n_query_shards=n_query_shards, **kw)
+
+    method = _METHOD.get(row.kind, "search_" + row.kind)
+    entry.__name__ = entry.__qualname__ = (
+        row.name + ("_sharded" if n_query_shards else ""))
+    entry.__doc__ = (
+        f"{row.name} through {n_query_shards} doc-range pools (same oracle)."
+        if n_query_shards else
+        f"Query kind {row.kind!r} (QueryEngine.{method}) over the contract "
+        f"index.")
+    return entry
+
+
+for _row in SERVED:
+    globals()[_row.name] = _entry(_row)
+    if _row.shard:
+        globals()[_row.name + "_sharded"] = _entry(_row, n_query_shards=3)
+del _row

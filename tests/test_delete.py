@@ -468,3 +468,41 @@ def test_compact_fused_index_empty_docs_sources(ray_session, tmp_path):
     assert not (set(ids.tolist()) & set(dead.tolist()))
     with pytest.raises(ValueError, match="checkpoint='none'"):
         read_docs(out)
+
+
+class _EqualButUnserializable:
+    """Compares equal to the real tombstone fingerprint (so every segment
+    resumes) but cannot be written as JSON."""
+
+    def __init__(self, fp):
+        self.fp = fp
+
+    def __eq__(self, other):
+        return other == self.fp
+
+    __hash__ = None
+
+
+def test_failed_manifest_write_keeps_previous_manifest(ray_session,
+                                                       monkeypatch):
+    """A compaction that fails while writing MANIFEST.json into a reused
+    out dir leaves the previous MANIFEST byte-identical and no temp file:
+    a truncated MANIFEST would be published by set_alias and fail every
+    open with a JSONDecodeError."""
+    from splade_ray import delete
+
+    base, _live, _dead = _setup()
+    out = os.path.join(ROOT, "compacted_atomic")
+    shutil.rmtree(out, ignore_errors=True)
+    compact_index(base, out)
+    mpath = os.path.join(out, "MANIFEST.json")
+    with open(mpath, "rb") as f:
+        before = f.read()
+    real = delete.tombstones_fingerprint
+    monkeypatch.setattr(delete, "tombstones_fingerprint",
+                        lambda d: _EqualButUnserializable(real(d)))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        compact_index(base, out)
+    with open(mpath, "rb") as f:
+        assert f.read() == before
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]

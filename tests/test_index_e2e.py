@@ -283,3 +283,26 @@ def test_fused_checkpoint_none_build_parity(index_dir, corpus_table,
         read_docs(fidx)
     with pytest.raises(ValueError, match="unknown checkpoint"):
         build_index(ds, fidx + "_x", checkpoint="zzz")
+
+
+def test_failed_shuffle_restores_push_based_flag(ray_session, tmp_path,
+                                                 monkeypatch):
+    """build_index switches the process-wide push-based shuffle flag on
+    for its segment shuffle only: a failing shuffle must switch it back."""
+    from ray.data import DataContext
+    from ray.data.grouped_data import GroupedData
+
+    def boom(self, *a, **kw):
+        raise RuntimeError("shuffle failed")
+
+    ctx = DataContext.get_current()
+    before = getattr(ctx, "use_push_based_shuffle", False)
+    monkeypatch.setattr(GroupedData, "map_groups", boom)
+    try:
+        with pytest.raises(RuntimeError, match="shuffle failed"):
+            build_index(rd.from_arrow(generate_corpus(40, seed=3)),
+                        str(tmp_path / "idx"), lang_tagged=False,
+                        n_shards=2)
+        assert getattr(ctx, "use_push_based_shuffle", False) == before
+    finally:
+        ctx.use_push_based_shuffle = before
