@@ -9,17 +9,19 @@ Ray Data pipeline:
               (doc_id, identity cols, content_sha256, doc_len, terms, tfs):
               tokenize ONCE, checkpoint the analyzed corpus; empty /
               whitespace-only rows dropped with a counter (M10).
-  2. STATS    n_docs / avgdl / langs from the staging table (Ray aggregates,
-              partial-per-block; reference analogue: BM25 ``fit`` ST1).
-  3. HOT      deterministic doc sample (doc_id % sample_mod == 0) ->
-              partial-df per batch -> groupby(term).sum -> hot-term set
-              (df above threshold).  Broadcast to the shuffle stage.
-  4. ORDINALS sorted-doc-id rank map (docmap.bin) + forward doc-length
-              array (doclens.bin): postings store dense ordinals.
-  5. SHUFFLE  staging -> explode (term, salt, ordinal, tf, shard) with
+  2. STATS    n_docs from the staging parquet footers (no data read).
+  3. ORDINALS one pass over staging, one row per block (``staging_block``):
+              doc_len sum, langs, a bounded Misra-Gries summary of the
+              block's term dfs (``hotterms``) and, for the driver argsort,
+              the block's doc ids / lengths / lang codes.  The driver folds
+              the summaries in block order into the hot-term set (df above
+              threshold; it steers salting only) and writes the sorted-doc-id
+              rank map (docmap.bin) + forward doc-length array (doclens.bin);
+              above the driver budget a distributed sort writes them instead.
+  4. SHUFFLE  staging -> explode (term, salt, ordinal, tf, shard) with
               salted shards for hot terms (salt = contiguous ordinal
               ranges) -> groupby(shard).map_groups(one segment per shard).
-  6. FINAL    MANIFEST.json with stats + per-segment lineage.
+  5. FINAL    MANIFEST.json with stats, build counters + per-segment lineage.
 
 Resumability (north_rule): staging and every segment are validated
 checkpoints; a rerun skips valid ones (shards are filtered out of the
@@ -43,11 +45,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Sum
 
 from . import DROP_WS
 from .alias import write_json_atomic
 from .analyzer import doc_token_stats
+from .hotterms import MisraGries, block_summary, capacity_for, n_hot_rows
 from .ids import doc_id63_column, hash63_bytes, sha256_hex_column
 from .segments import SegmentBuilder, lex_rank, validate_segment
 
@@ -110,26 +112,46 @@ def prepare_batch(t: pa.Table, *, lang_tagged: bool,
     return pa.table(cols)
 
 
-def _sample_df_batch(t: pa.Table, *, sample_mod: int) -> pa.Table:
-    """Partial document-frequencies over a deterministic doc sample."""
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    t = t.filter(pa.array(ids % sample_mod == 0))
-    if t.num_rows == 0:
-        return pa.table({"term": pa.array([], type=pa.string()),
-                         "pdf": pa.array([], type=pa.int64())})
-    terms = t["terms"]
-    if isinstance(terms, pa.ChunkedArray):
-        terms = terms.combine_chunks()
-    flat = terms.flatten()
-    enc = pc.dictionary_encode(flat)
-    codes = enc.indices.to_numpy(zero_copy_only=False)
-    counts = np.bincount(codes, minlength=len(enc.dictionary))
-    return pa.table({"term": enc.dictionary,
-                     "pdf": pa.array(counts.astype(np.int64))})
+def _one_row_list(values) -> pa.ListArray:
+    """Arrow ``values`` as the single list cell of a one-row column."""
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    return pa.ListArray.from_arrays([0, len(values)], values)
+
+
+def _cell(row: pa.Table, name: str) -> pa.Array:
+    """The values of a one-row list column's cell (``_one_row_list``)."""
+    return row[name].combine_chunks().flatten()
+
+
+def staging_block(t: pa.Table, *, capacity: int, ordinals: bool) -> pa.Table:
+    """One staging block -> one row: its doc-length sum, sorted langs and
+    Misra-Gries term summary (``hotterms.block_summary``); with
+    ``ordinals`` also its doc ids, doc lengths and lang codes against its
+    own langs.  Every build path's pass over staging before the shuffle
+    runs this, so the hot set always comes from the same summaries."""
+    from .docmap import encode_lang_codes
+
+    lang_col = t["lang"]
+    if isinstance(lang_col, pa.ChunkedArray):
+        lang_col = lang_col.combine_chunks()
+    langs = sorted(x for x in pc.unique(lang_col).to_pylist() if x)
+    dls = t["doc_len"].to_numpy(zero_copy_only=False)
+    terms, dfs = block_summary(t["terms"], capacity)
+    row = {"total_len": pa.array([int(dls.astype(np.int64).sum())]),
+           "langs": pa.array([langs], pa.list_(pa.string())),
+           "hot_terms": _one_row_list(terms),
+           "hot_dfs": _one_row_list(pa.array(dfs, pa.int64()))}
+    if ordinals:
+        row["doc_id"] = _one_row_list(t["doc_id"])
+        row["doc_len"] = _one_row_list(t["doc_len"])
+        row["lang_code"] = _one_row_list(
+            pa.array(encode_lang_codes(lang_col, langs)))
+    return pa.table(row)
 
 
 def explode_postings_batch(
-    t: pa.Table, *, n_shards: int, hot_terms: dict[str, bool],
+    t: pa.Table, *, n_shards: int, hot_terms: frozenset[str],
     salt_bits: int, skip_shards: frozenset[int],
     docmap_ref=None, n_docs: int = 0,
 ) -> pa.Table:
@@ -224,7 +246,8 @@ def explode_postings_batch(
 
 
 def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
-                        doclens_ref=None) -> pa.Table:
+                        doclens_ref=None,
+                        hot_terms: frozenset[str] = frozenset()) -> pa.Table:
     """One shuffle partition -> one segment on disk; returns its manifest row.
 
     Array work over the whole partition: the terms get lexicographic ranks
@@ -234,7 +257,8 @@ def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
     duplicate raises (doc_id collision check) — and encodes every run in
     one pass.  Lexicographic dictionary order is a FORMAT INVARIANT (v4):
     readers binary-search the term column directly, which is what keeps
-    their startup O(1) in vocabulary size.
+    their startup O(1) in vocabulary size.  The segment's lineage counts
+    the dictionary rows of ``hot_terms`` (the salt fan-out).
     """
     if group.num_rows == 0:
         return pa.table({"shard": pa.array([], type=pa.int32())})
@@ -253,11 +277,13 @@ def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
         flat_pos = pos_col.flatten().to_numpy(zero_copy_only=False) \
             .astype(np.int64)
     vocab, rank = lex_rank(terms)
+    salt = group["salt"].to_numpy(zero_copy_only=False)
     builder = SegmentBuilder(f"seg-{shard:05d}", shard,
                              with_positions=flat_pos is not None)
-    builder.set_lineage(n_input_postings=group.num_rows)
+    builder.set_lineage(n_input_postings=group.num_rows,
+                        n_hot_rows=n_hot_rows(vocab, rank, salt, hot_terms))
     builder.add_postings(
-        vocab, rank, group["salt"].to_numpy(zero_copy_only=False),
+        vocab, rank, salt,
         group["doc_id"].to_numpy(zero_copy_only=False),
         group["tf"].to_numpy(zero_copy_only=False), doclens, avgdl,
         positions=flat_pos)
@@ -392,7 +418,6 @@ def build_index(
     lang_tagged: bool = False,
     n_shards: int = 32,
     salt_bits: int = 3,
-    sample_mod: int = 20,
     hot_df_frac: float = 0.005,
     hot_df_min: int = 512,
     overwrite: bool = False,
@@ -425,13 +450,13 @@ def build_index(
         pruning).  Costs one corpus-scale write + read.
       * ``"none"``: single-shot fused build — the tokenized batches are
         pinned in the OBJECT STORE (``materialize()``, ~190 B/doc,
-        spillable) and every downstream pass (stats, ordinals, hot
-        detection, shuffle) reads them zero-copy; nothing corpus-scale
-        touches disk except the segments.  No resume (a killed build
-        restarts) and no docs table (read_docs raises — serve those from
-        the source corpus).  The right mode for throwaway / benchmark
-        builds and for pipelines whose source is already a resumable
-        checkpoint one stage upstream.
+        spillable) and both downstream passes (the ordinal pass, which
+        also summarizes hot terms, and the shuffle) read them zero-copy;
+        nothing corpus-scale touches disk except the segments.  No resume
+        (a killed build restarts) and no docs table (read_docs raises —
+        serve those from the source corpus).  The right mode for throwaway
+        / benchmark builds and for pipelines whose source is already a
+        resumable checkpoint one stage upstream.
     """
     import time as _time
 
@@ -454,8 +479,8 @@ def build_index(
 
     # FAST full-resume: a finished index (manifest bound to this corpus
     # fingerprint + settings, staging/docmap/segments all valid) returns
-    # immediately.  Without this, every re-entrant build pays ~3 Dataset
-    # pipelines of re-validation (stats, hot-detect, shuffle-skip) — fixed
+    # immediately.  Without this, every re-entrant build pays 2 Dataset
+    # pipelines of re-validation (the ordinal pass, shuffle-skip) — fixed
     # seconds that dominate warm serving paths like the phrase candidates.
     if not overwrite and not fused and corpus_fp is not None:
         man = _finished_manifest(index_dir, corpus_fp, lang_tagged=lang_tagged,
@@ -483,8 +508,8 @@ def build_index(
             raise ValueError("no indexable documents (all rows empty?)")
         n_dropped = n_input - n_docs
 
-        def _staging_read(columns: list[str]):
-            return staged_ds.select_columns(columns)
+        def _staging_read(columns: list[str], fixed: bool = False):
+            return staged_ds.select_columns(columns)  # blocks already fixed
     elif not _staging_valid(index_dir, corpus_fp, positions):
         # stale/absent staging: every derived artifact (segments, docmap,
         # manifest) came from that staging — drop them too, or a fingerprint
@@ -511,11 +536,8 @@ def build_index(
     timings["staging_sec"] = round(_t() - t0, 3)
     t0 = _t()
 
-    # n_docs from parquet FOOTER metadata — zero data read, no pipeline.
-    # Every other stat (total_len, langs) comes from the single combined
-    # pass below, fused with the ordinal pass when one is needed: each
-    # separate Dataset pass costs ~0.5-1s of fixed startup that Amdahl turns
-    # straight into lost scaling efficiency.
+    # n_docs from parquet FOOTER metadata — zero data read, no pipeline;
+    # every other stat comes from the one ordinal pass below
     if not fused:
         import pyarrow.parquet as _pq
 
@@ -527,10 +549,14 @@ def build_index(
         n_docs = sum(_pq.read_metadata(f).num_rows for f in staging_files)
         if n_docs == 0:
             raise ValueError("no indexable documents (all rows empty?)")
-        n_dropped = staging_meta["n_input_rows"] - n_docs
+        n_input = staging_meta["n_input_rows"]
+        n_dropped = n_input - n_docs
 
-        def _staging_read(columns: list[str]):
-            return ray.data.read_parquet(staging_dir, columns=columns)
+        def _staging_read(columns: list[str], fixed: bool = False):
+            # ``fixed``: one block per staging file, whatever the cluster
+            # size, so a resumed build folds the same block summaries
+            kw = {"override_num_blocks": len(staging_files)} if fixed else {}
+            return ray.data.read_parquet(staging_files, columns=columns, **kw)
     timings["stats_sec"] = round(_t() - t0, 3)
     t0 = _t()
 
@@ -547,7 +573,7 @@ def build_index(
     # 10^12 docs.  Either path doubles as the duplicate-identity check:
     # equal ids end up adjacent.
     from .docmap import (LANG_MISSING, LANGVALS_NAME, doc_arrays_valid,
-                         encode_lang_codes, open_doc_arrays, write_sharded)
+                         open_doc_arrays, write_sharded)
 
     docmap_path = os.path.join(index_dir, "docmap.bin")
     doclens_path = os.path.join(index_dir, "doclens.bin")
@@ -559,74 +585,64 @@ def build_index(
         "doc_id collision); deduplicate the corpus first (ops.dedup) "
         "or widen ids"
     )
-    total_len = 0
-    langset: set[str] = set()
+    # Stats (total_len, langs) and the hot-term summary come from ONE pass
+    # over staging, ``staging_block`` per block in the Dataset's fixed block
+    # order; the driver folds each block's bounded Misra-Gries summary as it
+    # arrives (hotterms: at most 2 * capacity rows held, whatever the corpus)
+    hot_threshold = max(hot_df_min, int(hot_df_frac * n_docs))
+    capacity = capacity_for(n_docs, hot_threshold)
+    hot = MisraGries(capacity)
+    total_len, langset, hot_sec = 0, set(), 0.0
 
-    def _absorb_stats(batch: pa.Table) -> None:
-        nonlocal total_len
-        dls = batch["doc_len"].to_numpy(zero_copy_only=False)
-        total_len += int(dls.astype(np.int64).sum())
-        lang_col = batch["lang"]
-        if isinstance(lang_col, pa.ChunkedArray):
-            lang_col = lang_col.combine_chunks()
-        langset.update(x for x in pc.unique(lang_col).to_pylist() if x)
+    def _block_rows(ordinals: bool):
+        ds = _staging_read(["doc_id", "doc_len", "lang", "terms"], fixed=True)
+        ds = ds.map_batches(staging_block, batch_format="pyarrow",
+                            batch_size=None, fn_kwargs={
+                                "capacity": capacity, "ordinals": ordinals})
+        opts = ds.context.execution_options  # shared with the input's lineage
+        prev, opts.preserve_order = opts.preserve_order, True
+        try:
+            for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+                for i in range(b.num_rows):
+                    yield b.slice(i, 1)
+        finally:
+            opts.preserve_order = prev
 
-    if docmap_valid:
-        # resume: ordinals exist, only the (sum, langs) stats pass remains —
-        # distributed per-block partials, one tiny take_all
-        def _stats_partial(t: pa.Table) -> pa.Table:
-            lang_col = t["lang"]
-            if isinstance(lang_col, pa.ChunkedArray):
-                lang_col = lang_col.combine_chunks()
-            uniq = pc.unique(lang_col).to_pylist()
-            return pa.table(
-                {
-                    "total_len": pa.array(
-                        [int(pc.sum(t["doc_len"]).as_py() or 0)],
-                        type=pa.int64()),
-                    "langs": pa.array([",".join(sorted(x for x in uniq if x))]),
-                }
-            )
+    def _absorb(row: pa.Table) -> None:
+        nonlocal total_len, hot_sec
+        total_len += row["total_len"][0].as_py()
+        langset.update(row["langs"][0].as_py())
+        t1 = _t()
+        hot.merge(_cell(row, "hot_terms"), np.asarray(_cell(row, "hot_dfs")))
+        hot_sec += _t() - t1
 
-        for r in (
-            _staging_read(["doc_len", "lang"])
-            .map_batches(_stats_partial, batch_format="pyarrow")
-            .take_all()
-        ):
-            total_len += r["total_len"]
-            langset.update(lg for lg in r["langs"].split(",") if lg)
-    elif (n_docs <= ordinal_driver_threshold
-          and 12 * n_docs <= ordinal_driver_bytes_budget):
-        # ONE fused pass: stats + ordinal material (estimated 12 bytes/doc;
-        # the running nbytes check below catches wide-dtype drift or a
-        # mis-set threshold and falls back to the distributed sort rather
-        # than blowing the driver heap)
+    driver_sort = (not docmap_valid and n_docs <= ordinal_driver_threshold
+                   and 12 * n_docs <= ordinal_driver_bytes_budget)
+    if driver_sort:
+        # ONE fused pass: stats + hot summary + ordinal material (estimated
+        # 12 bytes/doc; the running nbytes check below catches wide-dtype
+        # drift or a mis-set threshold and falls back to the distributed
+        # sort rather than blowing the driver heap)
         id_chunks, dl_chunks, lv_chunks, acc_bytes = [], [], [], 0
-        fits = True
-        for batch in _staging_read(
-            ["doc_id", "doc_len", "lang"]
-        ).iter_batches(batch_size=262144, batch_format="pyarrow"):
-            _absorb_stats(batch)
-            ic = batch["doc_id"].to_numpy(zero_copy_only=False)
-            dc = batch["doc_len"].to_numpy(zero_copy_only=False)
-            # lang doc-values: per-chunk codes against the chunk's own
+        rows = _block_rows(ordinals=True)
+        for row in rows:
+            _absorb(row)
+            ic, dc = np.asarray(_cell(row, "doc_id")), np.asarray(
+                _cell(row, "doc_len"))
+            # lang doc-values: per-block codes against the block's own
             # vocabulary (1 byte/doc resident), remapped to the global
             # sorted vocabulary once the pass completes
-            lang_col = batch["lang"]
-            if isinstance(lang_col, pa.ChunkedArray):
-                lang_col = lang_col.combine_chunks()
-            cv = np.asarray(
-                sorted(x for x in pc.unique(lang_col).to_pylist() if x),
-                dtype=object)
-            lc = encode_lang_codes(lang_col, cv)
+            lc = np.asarray(_cell(row, "lang_code"))
+            cv = np.asarray(row["langs"][0].as_py(), dtype=object)
             acc_bytes += ic.nbytes + dc.nbytes + lc.nbytes
             if acc_bytes > 2 * ordinal_driver_bytes_budget:
-                fits = False
+                driver_sort = False
+                rows.close()
                 break
             id_chunks.append(ic)
             dl_chunks.append(dc)
             lv_chunks.append((lc, cv))
-        if fits:
+        if driver_sort:
             all_ids = np.concatenate(id_chunks)
             order = np.argsort(all_ids, kind="stable")
             sorted_ids = all_ids[order]
@@ -651,25 +667,19 @@ def build_index(
             os.replace(tmp_dl, doclens_path)
             os.replace(tmp_lv, langvals_path)
         else:
-            # stats were partially absorbed: reset; the distributed path
-            # recomputes them from its own pass (write_sharded summary rows)
-            id_chunks = dl_chunks = lv_chunks = None
-            total_len = 0
+            # partially absorbed: start over with the pass below
+            total_len, hot = 0, MisraGries(capacity)
             langset.clear()
-            sorted_ds = _staging_read(
-                ["doc_id", "doc_len", "lang"]).sort("doc_id")
-            stats = write_sharded(sorted_ds, index_dir, n_docs)
-            total_len += stats["total_len"]
-            langset |= stats["langs"]
-    else:
+    if not docmap_valid and not driver_sort:
         # distributed range-partition sort; the sort's output tasks write
-        # the per-range shard layout themselves and return one summary row
-        # each — stats are absorbed from the same rows (no extra pipeline)
-        sorted_ds = _staging_read(
-            ["doc_id", "doc_len", "lang"]).sort("doc_id")
-        stats = write_sharded(sorted_ds, index_dir, n_docs)
-        total_len += stats["total_len"]
-        langset |= stats["langs"]
+        # the per-range shard layout themselves
+        write_sharded(_staging_read(["doc_id", "doc_len", "lang"])
+                      .sort("doc_id"), index_dir, n_docs)
+    if not driver_sort:
+        # resume (ordinals exist) or the distributed sort, which cannot
+        # carry the terms column: the same block pass without ordinals
+        for row in _block_rows(ordinals=False):
+            _absorb(row)
     avgdl = total_len / n_docs
     langs = sorted(langset)
     # memmap-backed handles: the driver never loads the arrays into its heap;
@@ -679,45 +689,13 @@ def build_index(
 
     docmap_ref = _ray.put(doc_arrays.docmap_array())
     doclens_ref = _ray.put(doc_arrays.doclens_array())
-    timings["docmap_sec"] = round(_t() - t0, 3)
-    t0 = _t()
-
-    # hot-term detection over a deterministic file-level sample of staging:
-    # reading every file and discarding (1 - 1/sample_mod) of rows costs a
-    # full decompress of the terms column — sampling whole files reads ~1/k
-    # of the bytes.  Only load balance (salting) depends on this estimate,
-    # never correctness.
-    hot_threshold = max(hot_df_min, int(hot_df_frac * n_docs))
-    if fused:
-        # object-store staging has no file boundaries: fall back to the
-        # deterministic row sample (doc_id % sample_mod) inside the batch —
-        # the blocks are already decoded, so there is no decompress tax to
-        # dodge
-        sampled_df = (
-            _staging_read(["doc_id", "terms"])
-            .map_batches(_sample_df_batch, batch_format="pyarrow",
-                         fn_kwargs={"sample_mod": sample_mod})
-            .groupby("term")
-            .aggregate(Sum("pdf", alias_name="pdf"))
-        )
-        est_min = max(1, hot_threshold // max(1, sample_mod))
-    else:
-        sample_files = staging_files[:: max(1, sample_mod)] \
-            or staging_files[:1]
-        sampled_df = (
-            ray.data.read_parquet(sample_files, columns=["doc_id", "terms"])
-            .map_batches(_sample_df_batch, batch_format="pyarrow",
-                         fn_kwargs={"sample_mod": 1})
-            .groupby("term")
-            .aggregate(Sum("pdf", alias_name="pdf"))
-        )
-        sample_frac = len(sample_files) / max(1, len(staging_files))
-        est_min = max(1, int(hot_threshold * sample_frac))
-    hot_rows = sampled_df.filter(
-        lambda r, m=est_min: r["pdf"] >= m
-    ).take_all()
-    hot_terms = {r["term"]: True for r in hot_rows}
-    timings["hot_detect_sec"] = round(_t() - t0, 3)
+    t1 = _t()
+    hot_terms = frozenset(hot.hot(hot_threshold))
+    hot_sec += _t() - t1
+    timings["docmap_sec"] = round(_t() - t0 - hot_sec, 3)
+    # the driver-side fold of the block summaries (the only hot-term work
+    # left outside the shared pass)
+    timings["hot_detect_sec"] = round(hot_sec, 3)
     t0 = _t()
 
     seg_root = os.path.join(index_dir, "segments")
@@ -751,7 +729,8 @@ def build_index(
             grouped = postings.groupby("shard")
             seg_stats = grouped.map_groups(
                 partial(build_segment_group, index_dir=index_dir,
-                        avgdl=avgdl, doclens_ref=doclens_ref),
+                        avgdl=avgdl, doclens_ref=doclens_ref,
+                        hot_terms=hot_terms),
                 batch_format="pyarrow",
             )
             seg_stats.count()  # drive execution; manifests land on disk
@@ -763,12 +742,33 @@ def build_index(
                 done[m["shard"]] = m
 
     timings["shuffle_build_sec"] = round(_t() - t0, 3)
+    segs = [m for _, m in sorted(done.items())]
+    per_shard = [m["n_postings"] for m in segs]
+    n_hot_rows = sum(m["lineage"].get("n_hot_rows", 0) for m in segs)
+    # build counters, all from the segment manifests collected above
+    counters = {
+        "rows_in": int(n_input),
+        "rows_dropped": int(n_dropped),
+        "distinct_terms": sum(m["n_terms"] for m in segs) - n_hot_rows
+        + len(hot_terms),
+        "hot_terms": len(hot_terms),
+        "salted_dict_rows": n_hot_rows,
+        "summary_rows": hot.rows,
+        "summary_capacity": capacity,
+        "shard_postings_max": max(per_shard, default=0),
+        "shard_postings_mean": round(sum(per_shard) / max(1, len(segs)), 1),
+        "segment_bytes": sum(
+            m["postings_nbytes"] + m.get("positions_nbytes", 0)
+            + os.path.getsize(os.path.join(seg_root, m["segment_id"],
+                                           "dict.parquet")) for m in segs),
+    }
     # NOTE: no separate docs-table write — the staging parquet IS the docs
     # table (read it with column pruning via ``read_docs``); avoids one full
     # read+write pass per build.
     manifest = {
         "format_version": 1,
         "timings": timings,
+        "counters": counters,
         "n_docs": int(n_docs),
         "n_dropped_rows": int(n_dropped),
         "total_doc_len": int(total_len),
@@ -783,11 +783,11 @@ def build_index(
         "positions": bool(positions),
         "hot_terms": sorted(hot_terms),
         "hot_df_threshold": hot_threshold,
-        "n_postings": int(sum(m["n_postings"] for m in done.values())),
+        "n_postings": int(sum(per_shard)),
         "segments": [
-            {"shard": s, "segment_id": m["segment_id"],
+            {"shard": m["shard"], "segment_id": m["segment_id"],
              "n_terms": m["n_terms"], "n_postings": m["n_postings"]}
-            for s, m in sorted(done.items())
+            for m in segs
         ],
     }
     write_json_atomic(os.path.join(index_dir, "MANIFEST.json"), manifest,

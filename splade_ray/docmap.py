@@ -352,7 +352,6 @@ def _write_shard_batch(t: pa.Table, *, shard_root: str) -> pa.Table:
         return pa.table({"min_id": pa.array([], type=pa.int64()),
                          "max_id": pa.array([], type=pa.int64()),
                          "count": pa.array([], type=pa.int64()),
-                         "total_len": pa.array([], type=pa.int64()),
                          "langs": pa.array([], type=pa.string()),
                          "dm": pa.array([], type=pa.string()),
                          "dl": pa.array([], type=pa.string()),
@@ -391,8 +390,6 @@ def _write_shard_batch(t: pa.Table, *, shard_root: str) -> pa.Table:
             "min_id": pa.array([int(ids[0])], type=pa.int64()),
             "max_id": pa.array([int(ids[-1])], type=pa.int64()),
             "count": pa.array([t.num_rows], type=pa.int64()),
-            "total_len": pa.array([int(dls.astype(np.int64).sum())],
-                                  type=pa.int64()),
             "langs": pa.array([langs], type=pa.string()),
             "dm": pa.array([dm_name], type=pa.string()),
             "dl": pa.array([dl_name], type=pa.string()),
@@ -401,13 +398,10 @@ def _write_shard_batch(t: pa.Table, *, shard_root: str) -> pa.Table:
     )
 
 
-def write_sharded(sorted_ds, index_dir: str, n_docs: int) -> dict:
+def write_sharded(sorted_ds, index_dir: str, n_docs: int) -> None:
     """Distributed ordinal pass: the sort's output tasks write per-range
     shard files; the driver prefix-sums ordinal starts over the tiny summary
-    table and writes ranges.json (last, so a killed run never validates).
-
-    Returns {"total_len": int, "langs": set[str]} absorbed from the same
-    pass (no separate stats pipeline)."""
+    table and writes ranges.json (last, so a killed run never validates)."""
     root = os.path.join(index_dir, SHARD_DIR)
     if os.path.isdir(root):
         shutil.rmtree(root)
@@ -424,8 +418,6 @@ def write_sharded(sorted_ds, index_dir: str, n_docs: int) -> dict:
         raise AssertionError(
             f"ordinal pass wrote {n_written} rows, metadata counted {n_docs}")
     shards = []
-    total_len = 0
-    langs: set[str] = set()
     start = 0
     prev_max = None
     for r in rows:
@@ -440,11 +432,8 @@ def write_sharded(sorted_ds, index_dir: str, n_docs: int) -> dict:
                        "max_id": r["max_id"], "count": r["count"],
                        "ordinal_start": start})
         start += r["count"]
-        total_len += r["total_len"]
-        langs.update(lg for lg in r["langs"].split(",") if lg)
     manifest = {"n_docs": n_docs, "shards": shards}
     tmp = os.path.join(root, RANGES_NAME + ".tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1)
     os.replace(tmp, os.path.join(root, RANGES_NAME))
-    return {"total_len": total_len, "langs": langs}

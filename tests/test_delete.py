@@ -31,8 +31,7 @@ from splade_ray.query import QueryEngine
 from splade_ray.segments import validate_segment
 
 ROOT = "/tmp/splade_ray_delete_test"
-KW = dict(lang_tagged=True, n_shards=6, hot_df_min=40, hot_df_frac=0.05,
-          sample_mod=2)
+KW = dict(lang_tagged=True, n_shards=6, hot_df_min=40, hot_df_frac=0.05)
 
 
 def _as_l(r):

@@ -33,7 +33,7 @@ from splade_ray.query import QueryEngine, TermSuggester, _IndexCore
 
 ROOT = "/tmp/splade_ray_index_core_test"
 KW = dict(lang_tagged=True, n_shards=4, hot_df_min=30, hot_df_frac=0.05,
-          sample_mod=2, positions=True)
+          positions=True)
 K = 10
 QUERIES = list(zip(generate_queries()["query"].to_pylist(),
                    [lg or None for lg in

@@ -31,7 +31,7 @@ def index_dir(corpus_table, ray_session):
     shutil.rmtree(IDX, ignore_errors=True)
     ds = rd.from_arrow(corpus_table).repartition(4)
     build_index(ds, IDX, lang_tagged=True, n_shards=8, hot_df_min=40,
-                hot_df_frac=0.05, sample_mod=3, corpus_fp=CORPUS_FP)
+                hot_df_frac=0.05, corpus_fp=CORPUS_FP)
     return IDX
 
 
@@ -124,7 +124,7 @@ def test_resume_skips_valid_segments(index_dir, corpus_table):
     }
     ds = rd.from_arrow(corpus_table).repartition(4)
     build_index(ds, index_dir, lang_tagged=True, n_shards=8, hot_df_min=40,
-                hot_df_frac=0.05, sample_mod=3, corpus_fp=CORPUS_FP)
+                hot_df_frac=0.05, corpus_fp=CORPUS_FP)
     for s, t in mtimes.items():
         assert os.path.getmtime(os.path.join(seg_root, s, "manifest.json")) == t
     assert validate_segment(os.path.join(seg_root, victim)) is not None
@@ -172,7 +172,7 @@ def test_partitioning_invariance(ray_session, corpus_table, oracle):
     shutil.rmtree(idx2, ignore_errors=True)
     build_index(rd.from_arrow(corpus_table).repartition(2), idx2,
                 lang_tagged=True, n_shards=3,  # different shards AND blocks
-                hot_df_min=40, hot_df_frac=0.05, sample_mod=3)
+                hot_df_min=40, hot_df_frac=0.05)
     engine = QueryEngine(idx2, k=10, scorer="taat")
     q = generate_queries()
     for qid, query, lang in zip(q["query_id"].to_pylist(),
@@ -262,7 +262,7 @@ def test_fused_checkpoint_none_build_parity(index_dir, corpus_table,
     fidx = "/tmp/splade_ray_test_idx_fused"
     ds = rd.from_arrow(corpus_table).repartition(4)
     m = build_index(ds, fidx, lang_tagged=True, n_shards=8, hot_df_min=40,
-                    hot_df_frac=0.05, sample_mod=3, checkpoint="none")
+                    hot_df_frac=0.05, checkpoint="none")
     import json as _json
 
     with open(os.path.join(index_dir, "MANIFEST.json")) as f:

@@ -19,8 +19,7 @@ def test_merged_index_matches_full_build(ray_session):
     shutil.rmtree(ROOT, ignore_errors=True)
     a, b, full, merged = (os.path.join(ROOT, x) for x in
                           ("a", "b", "full", "merged"))
-    kw = dict(lang_tagged=True, n_shards=6, hot_df_min=40, hot_df_frac=0.05,
-              sample_mod=2)
+    kw = dict(lang_tagged=True, n_shards=6, hot_df_min=40, hot_df_frac=0.05)
     build_index(rd.from_arrow(tbl.slice(0, 300)), a, **kw)
     build_index(rd.from_arrow(tbl.slice(300)), b, **kw)
     build_index(rd.from_arrow(tbl), full, **kw)
@@ -80,8 +79,7 @@ def test_add_generation_inherits_base_settings(ray_session):
     full_dir = os.path.join(ROOT, "full")
     # self-sufficient: (re)build the base and full indexes if an earlier
     # test in this module did not (standalone / reordered runs)
-    kw = dict(lang_tagged=True, n_shards=6, hot_df_min=40, hot_df_frac=0.05,
-              sample_mod=2)
+    kw = dict(lang_tagged=True, n_shards=6, hot_df_min=40, hot_df_frac=0.05)
     build_index(rd.from_arrow(tbl.slice(0, 300)), a, **kw)
     build_index(rd.from_arrow(tbl), full_dir, **kw)
     out = os.path.join(ROOT, "added")

@@ -32,7 +32,7 @@ def built(ray_session):
     shutil.rmtree(IDX, ignore_errors=True)
     man = build_index(rd.from_arrow(tbl).repartition(3), IDX,
                       lang_tagged=False, n_shards=4,
-                      hot_df_min=30, hot_df_frac=0.05, sample_mod=2)
+                      hot_df_min=30, hot_df_frac=0.05)
     return tbl, man
 
 

@@ -30,7 +30,7 @@ def index_dir(corpus_table, ray_session):
     shutil.rmtree(IDX, ignore_errors=True)
     build_index(rd.from_arrow(corpus_table).repartition(3), IDX,
                 lang_tagged=False, n_shards=4, hot_df_min=30,
-                hot_df_frac=0.05, sample_mod=2)
+                hot_df_frac=0.05)
     return IDX
 
 

@@ -37,7 +37,7 @@ def ties_setup(ray_session):
     tbl = pa.Table.from_pylist(rows)
     shutil.rmtree(IDX, ignore_errors=True)
     build_index(rd.from_arrow(tbl), IDX, lang_tagged=False, n_shards=4,
-                hot_df_min=20, hot_df_frac=0.01, sample_mod=2)
+                hot_df_min=20, hot_df_frac=0.01)
     return tbl
 
 

@@ -18,8 +18,7 @@ from splade_ray.query import QueryEngine
 
 N_FILES = 300
 ROOT = "/tmp/splade_ray_serving_test"
-KW = dict(lang_tagged=False, n_shards=4, hot_df_min=30, hot_df_frac=0.05,
-          sample_mod=2)
+KW = dict(lang_tagged=False, n_shards=4, hot_df_min=30, hot_df_frac=0.05)
 QUERIES = ["merge window", "vector join batch", "the", "stream",
            "customer filter"]
 

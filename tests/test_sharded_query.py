@@ -25,7 +25,7 @@ def index_dir(ray_session):
     tbl = generate_corpus(N_FILES, seed=23)
     shutil.rmtree(IDX, ignore_errors=True)
     build_index(rd.from_arrow(tbl).repartition(4), IDX, lang_tagged=True,
-                n_shards=4, hot_df_min=30, hot_df_frac=0.05, sample_mod=2)
+                n_shards=4, hot_df_min=30, hot_df_frac=0.05)
     return IDX
 
 

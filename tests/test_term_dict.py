@@ -122,7 +122,7 @@ def index_pair(ray_session, tmp_path_factory):
     one = str(root / "one")
     build_index(rd.from_arrow(generate_corpus(200, seed=29)), one,
                 lang_tagged=False, n_shards=2, hot_df_min=20,
-                hot_df_frac=0.05, sample_mod=2, positions=True)
+                hot_df_frac=0.05, positions=True)
     many = str(root / "many")
     shutil.copytree(one, many)
     seg_root = os.path.join(many, "segments")

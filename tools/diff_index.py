@@ -8,6 +8,12 @@ on any mismatch, including a segment present on one side only.  Manifests
 and lineage are not compared: they name their inputs and differ by design
 between two builds of the same content.
 
+Then prints each side's MANIFEST ``hot_terms`` (the terms the build salted
+over several shards) and their symmetric difference: two builds whose hot
+sets differ write different dictionary rows for exactly those terms, so a
+segment difference with a non-empty hot-set difference may come from
+salting alone.  The hot sets do not change the exit code.
+
 Usage: python tools/diff_index.py A B
 """
 
@@ -41,6 +47,15 @@ def segment_digest(seg_dir: str) -> tuple[str, str, str]:
             hashlib.sha256(rows.encode()).hexdigest())
 
 
+def hot_terms(index_dir: str) -> set[str]:
+    """The MANIFEST's salted terms (empty when it has no MANIFEST)."""
+    path = os.path.join(index_dir, "MANIFEST.json")
+    if not os.path.exists(path):
+        return set()
+    with open(path) as f:
+        return set(json.load(f).get("hot_terms", []))
+
+
 def _segments(index_dir: str) -> set[str]:
     root = os.path.join(index_dir, "segments")
     return {d for d in os.listdir(root)
@@ -66,6 +81,12 @@ def main(argv: list[str]) -> int:
         bad += not same
         print(f"{seg} {'same' if same else 'DIFFERENT'}")
     print(f"{len(segs_a | segs_b)} segments, {bad} different")
+    hot = {"A": hot_terms(a), "B": hot_terms(b)}
+    for side, terms in hot.items():
+        print(f"{side} hot_terms ({len(terms)}): {' '.join(sorted(terms))}")
+    for side, other in (("A", "B"), ("B", "A")):
+        only = sorted(hot[side] - hot[other])
+        print(f"hot_terms only in {side} ({len(only)}): {' '.join(only)}")
     return 1 if bad else 0
 
 
