@@ -136,9 +136,9 @@ def staging_block(t: pa.Table, *, capacity: int, ordinals: bool) -> pa.Table:
     if isinstance(lang_col, pa.ChunkedArray):
         lang_col = lang_col.combine_chunks()
     langs = sorted(x for x in pc.unique(lang_col).to_pylist() if x)
-    dls = t["doc_len"].to_numpy(zero_copy_only=False)
     terms, dfs = block_summary(t["terms"], capacity)
-    row = {"total_len": pa.array([int(dls.astype(np.int64).sum())]),
+    row = {"total_len": pa.array([pc.sum(t["doc_len"]).as_py() or 0],
+                                 pa.int64()),
            "langs": pa.array([langs], pa.list_(pa.string())),
            "hot_terms": _one_row_list(terms),
            "hot_dfs": _one_row_list(pa.array(dfs, pa.int64()))}
@@ -247,7 +247,8 @@ def explode_postings_batch(
 
 def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
                         doclens_ref=None,
-                        hot_terms: frozenset[str] = frozenset()) -> pa.Table:
+                        hot_terms: frozenset[str] = frozenset(),
+                        salting: str = "") -> pa.Table:
     """One shuffle partition -> one segment on disk; returns its manifest row.
 
     Array work over the whole partition: the terms get lexicographic ranks
@@ -258,7 +259,8 @@ def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
     one pass.  Lexicographic dictionary order is a FORMAT INVARIANT (v4):
     readers binary-search the term column directly, which is what keeps
     their startup O(1) in vocabulary size.  The segment's lineage counts
-    the dictionary rows of ``hot_terms`` (the salt fan-out).
+    the dictionary rows of ``hot_terms`` (the salt fan-out) and records
+    ``salting``, the build's digest of how it salted (resume keys on it).
     """
     if group.num_rows == 0:
         return pa.table({"shard": pa.array([], type=pa.int32())})
@@ -280,7 +282,7 @@ def build_segment_group(group: pa.Table, *, index_dir: str, avgdl: float,
     salt = group["salt"].to_numpy(zero_copy_only=False)
     builder = SegmentBuilder(f"seg-{shard:05d}", shard,
                              with_positions=flat_pos is not None)
-    builder.set_lineage(n_input_postings=group.num_rows,
+    builder.set_lineage(n_input_postings=group.num_rows, salting=salting,
                         n_hot_rows=n_hot_rows(vocab, rank, salt, hot_terms))
     builder.add_postings(
         vocab, rank, salt,
@@ -580,11 +582,9 @@ def build_index(
     langvals_path = os.path.join(index_dir, LANGVALS_NAME)
     docmap_valid = doc_arrays_valid(index_dir, n_docs)
     tmp_map, tmp_dl = docmap_path + ".tmp", doclens_path + ".tmp"
-    dup_msg = (
-        "duplicate (repo, path, commit) identity rows (or a 63-bit "
-        "doc_id collision); deduplicate the corpus first (ops.dedup) "
-        "or widen ids"
-    )
+    dup_msg = ("duplicate (repo, path, commit) identity rows (or a 63-bit "
+               "doc_id collision); deduplicate the corpus first (ops.dedup) "
+               "or widen ids")
     # Stats (total_len, langs) and the hot-term summary come from ONE pass
     # over staging, ``staging_block`` per block in the Dataset's fixed block
     # order; the driver folds each block's bounded Misra-Gries summary as it
@@ -627,12 +627,11 @@ def build_index(
         rows = _block_rows(ordinals=True)
         for row in rows:
             _absorb(row)
-            ic, dc = np.asarray(_cell(row, "doc_id")), np.asarray(
-                _cell(row, "doc_len"))
             # lang doc-values: per-block codes against the block's own
             # vocabulary (1 byte/doc resident), remapped to the global
             # sorted vocabulary once the pass completes
-            lc = np.asarray(_cell(row, "lang_code"))
+            ic, dc, lc = (np.asarray(_cell(row, c))
+                          for c in ("doc_id", "doc_len", "lang_code"))
             cv = np.asarray(row["langs"][0].as_py(), dtype=object)
             acc_bytes += ic.nbytes + dc.nbytes + lc.nbytes
             if acc_bytes > 2 * ordinal_driver_bytes_budget:
@@ -693,18 +692,24 @@ def build_index(
     hot_terms = frozenset(hot.hot(hot_threshold))
     hot_sec += _t() - t1
     timings["docmap_sec"] = round(_t() - t0 - hot_sec, 3)
-    # the driver-side fold of the block summaries (the only hot-term work
-    # left outside the shared pass)
+    # hot_detect_sec: the driver-side fold of the block summaries
     timings["hot_detect_sec"] = round(hot_sec, 3)
     t0 = _t()
 
     seg_root = os.path.join(index_dir, "segments")
     os.makedirs(seg_root, exist_ok=True)
-    done: dict[int, dict] = {}
-    for name in os.listdir(seg_root):
-        m = validate_segment(os.path.join(seg_root, name))
-        if m is not None:
-            done[m["shard"]] = m
+    # kept segments must be salted like this build (shards, salt bits, hot
+    # set), or a term's postings would split between kept and rebuilt ones
+    salting = hashlib.sha256(json.dumps(
+        [n_shards, salt_bits, sorted(hot_terms)]).encode()).hexdigest()[:16]
+
+    def _kept() -> dict[int, dict]:
+        ms = (validate_segment(os.path.join(seg_root, name))
+              for name in os.listdir(seg_root))
+        return {m["shard"]: m for m in ms
+                if m is not None and m["lineage"].get("salting") == salting}
+
+    done = _kept()
     todo = [s for s in range(n_shards) if s not in done]
 
     # push-based shuffle: measured ~2x faster than the default sort exchange
@@ -730,16 +735,13 @@ def build_index(
             seg_stats = grouped.map_groups(
                 partial(build_segment_group, index_dir=index_dir,
                         avgdl=avgdl, doclens_ref=doclens_ref,
-                        hot_terms=hot_terms),
+                        hot_terms=hot_terms, salting=salting),
                 batch_format="pyarrow",
             )
             seg_stats.count()  # drive execution; manifests land on disk
         finally:
             _ctx.use_push_based_shuffle = _prev_push
-        for name in os.listdir(seg_root):
-            m = validate_segment(os.path.join(seg_root, name))
-            if m is not None:
-                done[m["shard"]] = m
+        done = _kept()
 
     timings["shuffle_build_sec"] = round(_t() - t0, 3)
     segs = [m for _, m in sorted(done.items())]
@@ -757,10 +759,8 @@ def build_index(
         "summary_capacity": capacity,
         "shard_postings_max": max(per_shard, default=0),
         "shard_postings_mean": round(sum(per_shard) / max(1, len(segs)), 1),
-        "segment_bytes": sum(
-            m["postings_nbytes"] + m.get("positions_nbytes", 0)
-            + os.path.getsize(os.path.join(seg_root, m["segment_id"],
-                                           "dict.parquet")) for m in segs),
+        "segment_bytes": sum(e.stat().st_size for m in segs for e in
+                             os.scandir(f"{seg_root}/{m['segment_id']}")),
     }
     # NOTE: no separate docs-table write — the staging parquet IS the docs
     # table (read it with column pruning via ``read_docs``); avoids one full

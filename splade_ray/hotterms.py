@@ -105,7 +105,8 @@ def n_hot_rows(vocab: pa.Array, rank: np.ndarray, salt: np.ndarray,
     """Dictionary rows of hot terms: their distinct (term, salt) lists."""
     if not hot_terms:
         return 0
-    is_hot = pc.is_in(vocab, value_set=pa.array(sorted(hot_terms), pa.string()))
+    is_hot = pc.is_in(vocab, value_set=pa.array(sorted(hot_terms),
+                                                pa.string()))
     is_hot = is_hot.to_numpy(zero_copy_only=False)
     rows = is_hot[rank]
     if not rows.any():

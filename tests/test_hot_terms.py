@@ -149,6 +149,26 @@ def test_resume_keeps_segments_and_hot_set(corpus_table, ray_session,
                                       if c >= man["hot_df_threshold"])
 
 
+def test_resume_under_another_hot_set_rebuilds_every_segment(
+        corpus_table, ray_session, tmp_path):
+    """A rerun whose settings salt differently (here: no hot terms) must not
+    keep segments salted the old way, or a term's postings would split
+    between kept salted shards and its rebuilt unsalted home shard."""
+    idx, plain = str(tmp_path / "idx"), str(tmp_path / "plain")
+    fp = "hot-terms-resalt"
+    build_index(rd.from_arrow(corpus_table), idx, hot_df_min=40,
+                corpus_fp=fp, **KW)
+    segs = sorted(os.listdir(os.path.join(idx, "segments")))
+    shutil.rmtree(os.path.join(idx, "segments", segs[3]))
+    m = build_index(rd.from_arrow(corpus_table), idx, hot_df_min=10**9,
+                    corpus_fp=fp, **KW)
+    mp = build_index(rd.from_arrow(corpus_table), plain, hot_df_min=10**9,
+                     corpus_fp=fp, **KW)
+    assert m["hot_terms"] == [] and m["n_postings"] == mp["n_postings"]
+    out = _diff_index(idx, plain)
+    assert out.returncode == 0, out.stdout
+
+
 def test_salting_never_changes_results(corpus_table, ray_session, tmp_path):
     salted, plain = str(tmp_path / "salted"), str(tmp_path / "plain")
     ds = rd.from_arrow(corpus_table).repartition(4)
