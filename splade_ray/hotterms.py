@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-COUNTERS_PER_SLOT = 1024  # counters per possible hot term per doc, n_docs/T
+COUNTERS_PER_SLOT = 1024  # capacity per unit of n_docs / threshold
 MAX_CAPACITY = 1 << 15
 
 

@@ -66,12 +66,13 @@ def test_summary_guarantee_order_and_bound(seed, n_blocks, vocab, capacity,
     must = {t for t, c in df.items() if c >= threshold + err}
     may = {t for t, c in df.items() if c >= threshold}
     rng = np.random.default_rng(seed)
-    base = None
     for _ in range(orders):
         order = rng.permutation(n_blocks)
         mg = _fold([blocks[i] for i in order], capacity)
         hot = set(mg.hot(threshold))
         assert must <= hot <= may
+        if capacity >= len(df):
+            assert hot == may  # nothing to cut: the exact hot set
         # bounded: the fold never holds more than its state plus one
         # block's summary, whatever the block count or vocabulary
         assert mg.rows <= capacity and mg.peak_rows <= 2 * capacity
@@ -79,10 +80,6 @@ def test_summary_guarantee_order_and_bound(seed, n_blocks, vocab, capacity,
         # differ only on terms inside the error band (may - must)
         assert set(_fold([blocks[i] for i in order], capacity)
                    .hot(threshold)) == hot
-        base = hot
-    if capacity >= len(df):
-        # nothing to cut: the exact hot set, in every order
-        assert base == may
 
 
 def test_fixed_order_is_deterministic():
