@@ -50,7 +50,7 @@ from . import DROP_WS
 from .alias import write_json_atomic
 from .analyzer import doc_token_stats
 from .hotterms import MisraGries, block_summary, capacity_for, n_hot_rows
-from .ids import doc_id63_column, hash63_bytes, sha256_hex_column
+from .ids import PLACEMENT, doc_id63_column, sha256_hex_column, term_shard
 from .segments import SegmentBuilder, lex_rank, validate_segment
 
 SCORE_SCALE = 1_000_000_000  # integer score units per 1.0 of BM25 score
@@ -164,9 +164,11 @@ def explode_postings_batch(
     so doc_id-ascending tie-breaks survive; the query engine translates
     back through docmap.bin on output.
 
-    Cold terms: salt 0, shard = h(term) % P.  Hot terms: salt = the
-    ordinal's position scaled to 2^salt_bits contiguous, doc-sorted ranges,
-    shard = h(term # salt) % P — spreads the heavy list over the cluster.
+    Shards come from ``ids.term_shard``, the rule the query side routes
+    lookups by.  Cold terms: salt 0, shard = h(term) % P.  Hot terms: salt
+    = the ordinal's position scaled to 2^salt_bits contiguous, doc-sorted
+    ranges, shard = h(term # salt) % P — spreads the heavy list over the
+    cluster.
     Shards already completed (resume) are filtered out here, before the
     shuffle moves any bytes.
     """
@@ -189,7 +191,7 @@ def explode_postings_batch(
     enc = pc.dictionary_encode(flat_terms)
     codes = enc.indices.to_numpy(zero_copy_only=False)
     vocab = enc.dictionary.to_pylist()
-    base_shard = np.array([hash63_bytes(v.encode()) % n_shards for v in vocab],
+    base_shard = np.array([term_shard(v, None, n_shards) for v in vocab],
                           dtype=np.int32)
     is_hot = np.array([v in hot_terms for v in vocab], dtype=bool)
 
@@ -211,7 +213,7 @@ def explode_postings_batch(
         lut = np.empty((len(hot_codes), n_salt), dtype=np.int32)
         for i, c in enumerate(hot_codes):
             for s in range(n_salt):
-                lut[i, s] = hash63_bytes(f"{vocab[c]}#{s}".encode()) % n_shards
+                lut[i, s] = term_shard(vocab[c], s, n_shards)
         hot_index = np.full(len(vocab), -1, dtype=np.int64)
         hot_index[hot_codes] = np.arange(len(hot_codes))
         shard[hot_rows] = lut[hot_index[codes[hot_rows]], salt[hot_rows]]
@@ -376,13 +378,22 @@ def _staging_valid(index_dir: str, corpus_fp: str | None = None,
         return False
 
 
+def hot_df_threshold(n_docs: int, hot_df_frac: float, hot_df_min: int) -> int:
+    """The df at which a build salts a term (MANIFEST ``hot_df_threshold``)."""
+    return max(hot_df_min, int(hot_df_frac * n_docs))
+
+
 def _finished_manifest(index_dir: str, corpus_fp: str, *, lang_tagged: bool,
-                       n_shards: int, salt_bits: int,
+                       n_shards: int, salt_bits: int, hot_df_frac: float,
+                       hot_df_min: int,
                        positions: bool = False) -> dict | None:
     """The index's manifest iff it is a COMPLETE build of exactly this
     (corpus, settings) — staging, forward arrays and every listed segment
-    validate — else None.  Tombstones are untouched either way (same
-    semantics as the slow resume path)."""
+    validate — else None.  The hot settings compare through the threshold
+    they give (equal thresholds fold to the same hot set); a manifest
+    without this build's ``placement`` record is rewritten by the slow
+    resume, which keeps the segments salted alike.  Tombstones are untouched either way
+    (same semantics as the slow resume path)."""
     from .docmap import doc_arrays_valid
 
     mpath = os.path.join(index_dir, "MANIFEST.json")
@@ -397,6 +408,9 @@ def _finished_manifest(index_dir: str, corpus_fp: str, *, lang_tagged: bool,
             and man.get("lang_tagged") == lang_tagged
             and man.get("n_shards") == n_shards
             and man.get("salt_bits") == salt_bits
+            and man.get("hot_df_threshold") == hot_df_threshold(
+                man.get("n_docs", -1), hot_df_frac, hot_df_min)
+            and man.get("placement") == PLACEMENT
             and bool(man.get("positions")) == positions
             and man.get("doc_ordinals")
             and _staging_valid(index_dir, corpus_fp, positions)
@@ -459,6 +473,18 @@ def build_index(
         serve those from the source corpus).  The right mode for throwaway
         / benchmark builds and for pipelines whose source is already a
         resumable checkpoint one stage upstream.
+
+    The returned manifest (``MANIFEST.json``) holds the corpus stats
+    (``n_docs``, ``n_dropped_rows``, ``total_doc_len``, ``avgdl``,
+    ``langs``, ``n_postings``), the settings a resume compares
+    (``corpus_fp``, ``lang_tagged``, ``n_shards``, ``salt_bits``,
+    ``positions``, ``hot_df_threshold``), ``placement`` (the term -> shard
+    rule, ``ids.PLACEMENT``; the query side routes a lookup to the term's
+    placement shards only when it recognises the record), ``hot_terms``
+    (the salted terms), ``segments`` (one ``shard``/``segment_id``/
+    ``n_terms``/``n_postings`` row per segment), ``timings`` and build
+    ``counters``, plus ``format_version``, ``checkpoint`` and
+    ``doc_ordinals``.
     """
     import time as _time
 
@@ -487,7 +513,8 @@ def build_index(
     if not overwrite and not fused and corpus_fp is not None:
         man = _finished_manifest(index_dir, corpus_fp, lang_tagged=lang_tagged,
                                  n_shards=n_shards, salt_bits=salt_bits,
-                                 positions=positions)
+                                 hot_df_frac=hot_df_frac,
+                                 hot_df_min=hot_df_min, positions=positions)
         if man is not None:
             return man
     if fused:
@@ -589,7 +616,7 @@ def build_index(
     # over staging, ``staging_block`` per block in the Dataset's fixed block
     # order; the driver folds each block's bounded Misra-Gries summary as it
     # arrives (hotterms: at most 2 * capacity rows held, whatever the corpus)
-    hot_threshold = max(hot_df_min, int(hot_df_frac * n_docs))
+    hot_threshold = hot_df_threshold(n_docs, hot_df_frac, hot_df_min)
     capacity = capacity_for(n_docs, hot_threshold)
     hot = MisraGries(capacity)
     total_len, langset, hot_sec = 0, set(), 0.0
@@ -781,6 +808,7 @@ def build_index(
         "salt_bits": salt_bits,
         "doc_ordinals": True,  # postings store dense ranks; see docmap.bin
         "positions": bool(positions),
+        "placement": PLACEMENT,
         "hot_terms": sorted(hot_terms),
         "hot_df_threshold": hot_threshold,
         "n_postings": int(sum(per_shard)),

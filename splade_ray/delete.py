@@ -618,6 +618,8 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
             [p for p in [os.path.join(os.path.abspath(index_dir), "staging")]
              if os.path.isdir(p)]),
     }
+    if "placement" in man:  # compaction keeps every segment's shard
+        manifest["placement"] = man["placement"]
     # the compacted index has NO tombstones (remove any stale artifacts of
     # either layout from a reused out_dir), but its docs table
     # (docs_sources -> base staging) still contains the removed docs:

@@ -70,3 +70,17 @@ def hash63_bytes(data: bytes) -> int:
     """Generic 63-bit hash of bytes via sha256 prefix (SQL-reproducible)."""
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big") & MASK63
 
+
+# The term -> shard rule every build writes under, as MANIFEST ``placement``
+# names it.  A reader that finds this exact record may look a term up in
+# its placement shards only; any other record (or none) means "unknown
+# placement: scan every segment".
+PLACEMENT = "hash63-mod-v1"
+
+
+def term_shard(term: str, salt: int | None, n_shards: int) -> int:
+    """The shard a build places ``term``'s postings in: an unsalted (cold)
+    term in ``hash63(term) % n_shards``, salt ``s`` of a hot term in
+    ``hash63(term#s) % n_shards``."""
+    key = term if salt is None else f"{term}#{salt}"
+    return hash63_bytes(key.encode()) % n_shards

@@ -17,7 +17,10 @@ Semantics:
     a term's (t, salt_a) and (t, salt_b) sub-lists simply coexist; the
     query engine gathers every (term, *) entry, so correctness never
     depends on agreement.  Shard placement may differ too — the merged
-    index keeps each input entry in its own shard's segment.
+    index keeps each input entry in its own shard's segment.  The merged
+    MANIFEST names the inputs' ``placement`` rule only when they all share
+    it, and lists the union of their hot sets, so a lookup routed by it
+    still visits every shard any input could have placed a term in.
   * resumable: output shards with valid manifests are skipped.
 """
 
@@ -239,6 +242,9 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
         [read_excluded(d) for d in index_dirs] + [np.empty(0, np.int64)]
     )))
 
+    # each output segment keeps its shard, so the inputs' placement holds
+    # for the merged index only if every input was placed by the same rule
+    placements = {m.get("placement") for m in manifests}
     manifest = {
         "format_version": 1,
         "merged_from": [os.path.abspath(d) for d in index_dirs],
@@ -254,6 +260,7 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
         # merge_segments refuses mixed positional/non-positional inputs, so
         # all-or-nothing here is exact
         "positions": all(bool(m.get("positions")) for m in manifests),
+        # the union: a term hot in any input may sit in its salt shards
         "hot_terms": sorted({t for m in manifests for t in m["hot_terms"]}),
         "n_postings": n_postings,
         "segments": seg_rows,
@@ -273,6 +280,8 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
             if os.path.isdir(p)
         ],
     }
+    if len(placements) == 1 and None not in placements:
+        manifest["placement"] = placements.pop()
     write_json_atomic(os.path.join(out_dir, "MANIFEST.json"), manifest,
                       indent=1)
     return manifest

@@ -51,6 +51,7 @@ import pyarrow.compute as pc
 from .analyzer import LANG_SEP, analyze_query, tokens_py
 from .build import SCORE_SCALE
 from .codecs import decode_block_range, decode_postings_many, tf_saturation
+from .ids import PLACEMENT, term_shard
 from .segments import SegmentReader
 
 # analyzer contract: terms are [a-z0-9]+ — this alphabet makes the edit-1
@@ -313,10 +314,18 @@ class _IndexCore:
     """What one index GENERATION fixes, shared by every engine (and
     ``TermSuggester``/``phrase.index_stats``) that opens it in the process:
     the resolved dir, the manifest, the segment readers, the doc arrays,
-    the term-lookup memo and the ``_Caches`` bundles.  Segments, docmap and
-    MANIFEST never change within a generation (``delete_docs`` writes only
-    tombstones, which each engine reads on open), so a refresh reuses all
-    of it — Lucene's ``DirectoryReader.openIfChanged``.
+    the term-lookup router and memo and the ``_Caches`` bundles.
+    Segments, docmap and MANIFEST never change within a generation
+    (``delete_docs`` writes only tombstones, which each engine reads on
+    open), so a refresh reuses all of it — Lucene's
+    ``DirectoryReader.openIfChanged``.
+
+    Router: when the MANIFEST names the build's ``placement`` rule
+    (``ids.PLACEMENT``), a term can sit only in the segments of its home
+    shard and, for a MANIFEST ``hot_terms`` entry, of its salt shards, so
+    ``term_refs`` searches those alone (the map from shard to segments
+    comes from MANIFEST ``segments[].shard``).  Without the record, or
+    with one it does not know, every segment is searched.
 
     Key: the realpath of the dir plus ``MANIFEST.json``'s (st_dev, st_ino,
     st_mtime_ns, st_size) and the sha256 of its bytes (which cover every
@@ -358,6 +367,12 @@ class _IndexCore:
         ]
         # term lookups are LAZY (term_refs): open is O(1) in vocabulary size
         self._refs: dict[str, tuple[list[tuple[int, int, int]], int]] = {}
+        self._by_shard: "dict[int, list[int]] | None" = None
+        if manifest.get("placement") == PLACEMENT:
+            self._by_shard = {}
+            for si, s in enumerate(manifest["segments"]):
+                self._by_shard.setdefault(s["shard"], []).append(si)
+            self._hot = frozenset(manifest.get("hot_terms", ()))
         self._bundles: "weakref.WeakValueDictionary[tuple, _Caches]" = (
             weakref.WeakValueDictionary())
 
@@ -385,7 +400,8 @@ class _IndexCore:
 
     def term_refs(self, term: str) -> tuple[list[tuple[int, int, int]], int]:
         """((salt, segment_idx, row_idx) list sorted by salt, summed df):
-        one binary search per segment dictionary, memoized per core.
+        one binary search per segment the term can sit in (``_segments_of``,
+        every segment when the placement is unknown), memoized per core.
 
         Salt order matters: within one build generation a hot term's salted
         sub-lists cover disjoint ascending ordinal ranges, so salt-order
@@ -396,7 +412,8 @@ class _IndexCore:
             return hit
         refs: list[tuple[int, int, int]] = []
         df = 0
-        for si, seg in enumerate(self.segments):
+        for si in self._segments_of(term):
+            seg = self.segments[si]
             for ri in seg.term_rows(term):
                 refs.append((int(seg.salt[ri]), si, ri))
                 df += int(seg.df[ri])
@@ -404,6 +421,20 @@ class _IndexCore:
         out = (refs, df)
         self._refs[term] = out
         return out
+
+    def _segments_of(self, term: str) -> "list[int] | range":
+        """Indexes of the segments that can hold ``term``: those of its
+        home shard, plus those of its salt shards when it is in MANIFEST
+        ``hot_terms`` (the home shard stays: a merged index can hold the
+        term cold in one generation and hot in another)."""
+        if self._by_shard is None:
+            return range(len(self.segments))
+        n_shards = self.manifest["n_shards"]
+        shards = {term_shard(term, None, n_shards)}
+        if term in self._hot:
+            shards.update(term_shard(term, s, n_shards)
+                          for s in range(1 << self.manifest["salt_bits"]))
+        return [si for sh in shards for si in self._by_shard.get(sh, ())]
 
     def caches(self, ord_range: "tuple[int, int] | None",
                budget: int) -> _Caches:

@@ -166,6 +166,32 @@ def test_resume_under_another_hot_set_rebuilds_every_segment(
     assert out.returncode == 0, out.stdout
 
 
+def _answers(index_dir):
+    eng = QueryEngine(index_dir, k=10)
+    return [[a.tolist() for a in eng.search_one(r["query"], r["lang"] or None)]
+            for r in generate_queries().to_pylist()]
+
+
+def test_finished_build_rerun_with_other_hot_settings(corpus_table,
+                                                      ray_session, tmp_path):
+    """A finished index rerun with other hot settings is not returned as
+    is: the MANIFEST must describe the settings asked for."""
+    idx = str(tmp_path / "idx")
+    fp = "hot-terms-finished"
+    m0 = build_index(rd.from_arrow(corpus_table), idx, hot_df_min=40,
+                     corpus_fp=fp, **KW)
+    assert m0["hot_terms"] and m0["hot_df_threshold"] == 40
+    before = _answers(idx)
+    m = build_index(rd.from_arrow(corpus_table), idx, hot_df_min=10**9,
+                    corpus_fp=fp, **KW)
+    assert m["hot_terms"] == [] and m["hot_df_threshold"] == 10**9
+    assert _manifest(idx)["hot_terms"] == []
+    assert _answers(idx) == before
+    # equal settings still take the fast path: the same manifest back
+    assert build_index(rd.from_arrow(corpus_table), idx, hot_df_min=10**9,
+                       corpus_fp=fp, **KW) == m
+
+
 def test_salting_never_changes_results(corpus_table, ray_session, tmp_path):
     salted, plain = str(tmp_path / "salted"), str(tmp_path / "plain")
     ds = rd.from_arrow(corpus_table).repartition(4)

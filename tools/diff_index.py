@@ -8,11 +8,13 @@ on any mismatch, including a segment present on one side only.  Manifests
 and lineage are not compared: they name their inputs and differ by design
 between two builds of the same content.
 
-Then prints each side's MANIFEST ``hot_terms`` (the terms the build salted
-over several shards) and their symmetric difference: two builds whose hot
-sets differ write different dictionary rows for exactly those terms, so a
-segment difference with a non-empty hot-set difference may come from
-salting alone.  The hot sets do not change the exit code.
+Then prints each side's MANIFEST ``placement`` record (the term -> shard
+rule queries route lookups by; ``-`` when absent) with ``placement match``
+or ``placement MISMATCH``, and each side's ``hot_terms`` (the terms the
+build salted over several shards) and their symmetric difference: two
+builds whose hot sets differ write different dictionary rows for exactly
+those terms, so a segment difference with a non-empty hot-set difference
+may come from salting alone.  Neither changes the exit code.
 
 Usage: python tools/diff_index.py A B
 """
@@ -47,13 +49,13 @@ def segment_digest(seg_dir: str) -> tuple[str, str, str]:
             hashlib.sha256(rows.encode()).hexdigest())
 
 
-def hot_terms(index_dir: str) -> set[str]:
-    """The MANIFEST's salted terms (empty when it has no MANIFEST)."""
+def _manifest(index_dir: str) -> dict:
+    """The MANIFEST (empty when there is none)."""
     path = os.path.join(index_dir, "MANIFEST.json")
     if not os.path.exists(path):
-        return set()
+        return {}
     with open(path) as f:
-        return set(json.load(f).get("hot_terms", []))
+        return json.load(f)
 
 
 def _segments(index_dir: str) -> set[str]:
@@ -81,7 +83,12 @@ def main(argv: list[str]) -> int:
         bad += not same
         print(f"{seg} {'same' if same else 'DIFFERENT'}")
     print(f"{len(segs_a | segs_b)} segments, {bad} different")
-    hot = {"A": hot_terms(a), "B": hot_terms(b)}
+    man = {"A": _manifest(a), "B": _manifest(b)}
+    place = {side: m.get("placement", "-") for side, m in man.items()}
+    for side, rule in place.items():
+        print(f"{side} placement: {rule}")
+    print(f"placement {'match' if place['A'] == place['B'] else 'MISMATCH'}")
+    hot = {side: set(m.get("hot_terms", [])) for side, m in man.items()}
     for side, terms in hot.items():
         print(f"{side} hot_terms ({len(terms)}): {' '.join(sorted(terms))}")
     for side, other in (("A", "B"), ("B", "A")):
