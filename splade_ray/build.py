@@ -15,9 +15,11 @@ Ray Data pipeline:
               block's term dfs (``hotterms``) and, for the driver argsort,
               the block's doc ids / lengths / lang codes.  The driver folds
               the summaries in block order into the hot-term set (df above
-              threshold; it steers salting only) and writes the sorted-doc-id
-              rank map (docmap.bin) + forward doc-length array (doclens.bin);
-              above the driver budget a distributed sort writes them instead.
+              threshold; it steers salting only).  Up to
+              ``DRIVER_SORT_MAX_DOCS`` docs it argsorts the ids and writes
+              the forward arrays (sorted doc ids = the ordinal rank map, doc
+              lengths, lang codes) in docmap's flat layout; above it a
+              distributed sort writes them in the sharded layout.
   4. SHUFFLE  staging -> explode (term, salt, ordinal, tf, shard) with
               salted shards for hot terms (salt = contiguous ordinal
               ranges) -> groupby(shard).map_groups(one segment per shard).
@@ -49,11 +51,19 @@ import ray.data
 from . import DROP_WS
 from .alias import write_json_atomic
 from .analyzer import doc_token_stats
+from .delete import EXCLUDED, remove_tombstone_files
+from .docmap import FLAT_FILES, SHARD_DIR
 from .hotterms import MisraGries, block_summary, capacity_for, n_hot_rows
 from .ids import PLACEMENT, doc_id63_column, sha256_hex_column, term_shard
 from .segments import SegmentBuilder, lex_rank, validate_segment
 
 SCORE_SCALE = 1_000_000_000  # integer score units per 1.0 of BM25 score
+
+# Up to this many docs the ordinal pass collects the doc ids, lengths and
+# lang codes on the driver (13 bytes/doc, 65 MB at the limit), argsorts
+# them and writes the flat forward arrays; above it a distributed sort
+# writes the sharded layout and nothing doc-scale reaches the driver.
+DRIVER_SORT_MAX_DOCS = 5_000_000
 
 STAGING_SCHEMA_COLS = [
     "doc_id", "repo", "path", "commit", "lang", "content_sha256", "doc_len",
@@ -162,7 +172,7 @@ def explode_postings_batch(
     ordinal gaps average N/df — 1-2 varbyte bytes — where raw hash-id gaps
     average 2^63/df (~7 bytes).  Ordinals are order-isomorphic to doc ids,
     so doc_id-ascending tie-breaks survive; the query engine translates
-    back through docmap.bin on output.
+    back through the forward doc-id array on output.
 
     Shards come from ``ids.term_shard``, the rule the query side routes
     lookups by.  Cold terms: salt 0, shard = h(term) % P.  Hot terms: salt
@@ -338,12 +348,10 @@ def fingerprint_files(files: list[str]) -> str:
 
 # Everything a build derives inside its index dir.  A rebuild removes all
 # of it: tombstones belong to the PREVIOUS corpus too — doc ids are
-# content-independent (repo, path, commit), so a surviving tombstones.bin
-# would silently hide live docs of the rebuilt index.
-_DERIVED_DIRS = ("staging", "segments", "docs", "docmap", "tombstones.d")
-_DERIVED_FILES = ("STAGING.json", "MANIFEST.json", "tombstones.bin",
-                  "docs_excluded.bin", "docmap.bin", "doclens.bin",
-                  "langvals.bin")
+# content-independent (repo, path, commit), so surviving tombstones would
+# silently hide live docs of the rebuilt index.
+_DERIVED_DIRS = ("staging", "segments", "docs", SHARD_DIR)
+_DERIVED_FILES = ("STAGING.json", "MANIFEST.json", EXCLUDED, *FLAT_FILES)
 
 
 def _remove_derived(index_dir: str) -> None:
@@ -355,6 +363,7 @@ def _remove_derived(index_dir: str) -> None:
         p = os.path.join(index_dir, name)
         if os.path.exists(p):
             os.remove(p)
+    remove_tombstone_files(index_dir)
 
 
 def _staging_valid(index_dir: str, corpus_fp: str | None = None,
@@ -437,9 +446,6 @@ def build_index(
     hot_df_frac: float = 0.005,
     hot_df_min: int = 512,
     overwrite: bool = False,
-    shuffle_concurrency: int | None = None,
-    ordinal_driver_threshold: int = 5_000_000,
-    ordinal_driver_bytes_budget: int = 256 * 2**20,
     corpus_fp: str | None = None,
     positions: bool = False,
     checkpoint: str = "parquet",
@@ -456,6 +462,10 @@ def build_index(
     then answer ENTIRELY from the index (phrase.positional_topk) — no
     candidate content fetch.  Costs ~1 extra byte per token in staging,
     the shuffle, and the segments; off by default.
+
+    The forward arrays (doc ids by ordinal, doc lengths, lang codes; see
+    docmap.py) come out in the flat layout up to ``DRIVER_SORT_MAX_DOCS``
+    docs and in the sharded layout above it.
 
     ``checkpoint`` picks the staging strategy:
 
@@ -590,28 +600,18 @@ def build_index(
     t0 = _t()
 
     # doc-ordinal map: sorted unique doc ids -> postings store dense ranks.
-    # Adaptive (same pattern as ops.dedup.connected_components): up to
-    # ``ordinal_driver_threshold`` docs a driver-side argsort is strictly
-    # faster than paying a distributed-sort pipeline (bounded: 12 bytes/doc,
-    # 5M docs = 60 MB) and writes the FLAT docmap.bin/doclens.bin layout.
+    # Up to DRIVER_SORT_MAX_DOCS docs a driver-side argsort is strictly
+    # faster than a distributed-sort pipeline and writes the FLAT layout.
     # Above it the sort is DISTRIBUTED (ray.data range-partition sort over
-    # the pruned 2-column read) and the sort's OUTPUT TASKS write per-range
-    # shard files themselves (docmap.write_sharded): the driver only
-    # prefix-sums one summary row per shard into ranges.json — nothing
-    # doc-scale flows through a driver write cursor, so the path holds at
-    # 10^12 docs.  Either path doubles as the duplicate-identity check:
-    # equal ids end up adjacent.
-    from .docmap import (LANG_MISSING, LANGVALS_NAME, doc_arrays_valid,
-                         open_doc_arrays, write_sharded)
+    # the pruned read) and the sort's OUTPUT TASKS write per-range shard
+    # files themselves (docmap.write_sharded): the driver only sees one
+    # summary row per shard — nothing doc-scale flows through a driver
+    # write cursor, so the path holds at 10^12 docs.  Either writer doubles
+    # as the duplicate-identity check: equal ids end up adjacent.
+    from .docmap import (doc_arrays_valid, lang_remap, open_doc_arrays,
+                         write_flat, write_sharded)
 
-    docmap_path = os.path.join(index_dir, "docmap.bin")
-    doclens_path = os.path.join(index_dir, "doclens.bin")
-    langvals_path = os.path.join(index_dir, LANGVALS_NAME)
     docmap_valid = doc_arrays_valid(index_dir, n_docs)
-    tmp_map, tmp_dl = docmap_path + ".tmp", doclens_path + ".tmp"
-    dup_msg = ("duplicate (repo, path, commit) identity rows (or a 63-bit "
-               "doc_id collision); deduplicate the corpus first (ops.dedup) "
-               "or widen ids")
     # Stats (total_len, langs) and the hot-term summary come from ONE pass
     # over staging, ``staging_block`` per block in the Dataset's fixed block
     # order; the driver folds each block's bounded Misra-Gries summary as it
@@ -643,65 +643,29 @@ def build_index(
         hot.merge(_cell(row, "hot_terms"), np.asarray(_cell(row, "hot_dfs")))
         hot_sec += _t() - t1
 
-    driver_sort = (not docmap_valid and n_docs <= ordinal_driver_threshold
-                   and 12 * n_docs <= ordinal_driver_bytes_budget)
-    if driver_sort:
-        # ONE fused pass: stats + hot summary + ordinal material (estimated
-        # 12 bytes/doc; the running nbytes check below catches wide-dtype
-        # drift or a mis-set threshold and falls back to the distributed
-        # sort rather than blowing the driver heap)
-        id_chunks, dl_chunks, lv_chunks, acc_bytes = [], [], [], 0
-        rows = _block_rows(ordinals=True)
-        for row in rows:
+    if not docmap_valid and n_docs <= DRIVER_SORT_MAX_DOCS:
+        # ONE fused pass: stats + hot summary + ordinal material.  Lang
+        # codes arrive per block against the block's own langs and are
+        # remapped to the global sorted list once the pass completes.
+        ids, lens, codes = [], [], []
+        for row in _block_rows(ordinals=True):
             _absorb(row)
-            # lang doc-values: per-block codes against the block's own
-            # vocabulary (1 byte/doc resident), remapped to the global
-            # sorted vocabulary once the pass completes
-            ic, dc, lc = (np.asarray(_cell(row, c))
-                          for c in ("doc_id", "doc_len", "lang_code"))
-            cv = np.asarray(row["langs"][0].as_py(), dtype=object)
-            acc_bytes += ic.nbytes + dc.nbytes + lc.nbytes
-            if acc_bytes > 2 * ordinal_driver_bytes_budget:
-                driver_sort = False
-                rows.close()
-                break
-            id_chunks.append(ic)
-            dl_chunks.append(dc)
-            lv_chunks.append((lc, cv))
-        if driver_sort:
-            all_ids = np.concatenate(id_chunks)
-            order = np.argsort(all_ids, kind="stable")
-            sorted_ids = all_ids[order]
-            if len(sorted_ids) > 1 and (sorted_ids[1:] == sorted_ids[:-1]).any():
-                raise ValueError(dup_msg)
-            sorted_ids.tofile(tmp_map)
-            np.concatenate(dl_chunks)[order].astype(np.int32).tofile(tmp_dl)
-            glob = np.asarray(sorted(langset), dtype=object)
-            if len(glob) >= 255:
-                raise ValueError(
-                    f"corpus has {len(glob)} distinct langs; lang "
-                    "doc-values support at most 254 (uint8 codes)")
-            remapped = []
-            for lc, cv in lv_chunks:
-                lut = np.full(256, LANG_MISSING, dtype=np.uint8)
-                if len(cv):
-                    lut[: len(cv)] = np.searchsorted(glob, cv).astype(np.uint8)
-                remapped.append(lut[lc])
-            tmp_lv = langvals_path + ".tmp"
-            np.concatenate(remapped)[order].tofile(tmp_lv)
-            os.replace(tmp_map, docmap_path)
-            os.replace(tmp_dl, doclens_path)
-            os.replace(tmp_lv, langvals_path)
-        else:
-            # partially absorbed: start over with the pass below
-            total_len, hot = 0, MisraGries(capacity)
-            langset.clear()
-    if not docmap_valid and not driver_sort:
-        # distributed range-partition sort; the sort's output tasks write
-        # the per-range shard layout themselves
-        write_sharded(_staging_read(["doc_id", "doc_len", "lang"])
-                      .sort("doc_id"), index_dir, n_docs)
-    if not driver_sort:
+            ids.append(np.asarray(_cell(row, "doc_id")))
+            lens.append(np.asarray(_cell(row, "doc_len")))
+            codes.append((np.asarray(_cell(row, "lang_code")),
+                          row["langs"][0].as_py()))
+        all_ids = np.concatenate(ids)
+        order = np.argsort(all_ids, kind="stable")
+        glob = sorted(langset)
+        lv = np.concatenate([lang_remap(cv, glob)[lc] for lc, cv in codes])
+        write_flat(index_dir, all_ids[order], np.concatenate(lens)[order],
+                   lv[order])
+    else:
+        if not docmap_valid:
+            # distributed range-partition sort; the sort's output tasks
+            # write the per-range shard layout themselves
+            write_sharded(_staging_read(["doc_id", "doc_len", "lang"])
+                          .sort("doc_id"), index_dir, n_docs)
         # resume (ordinals exist) or the distributed sort, which cannot
         # carry the terms column: the same block pass without ordinals
         for row in _block_rows(ordinals=False):
@@ -806,7 +770,7 @@ def build_index(
         "checkpoint": checkpoint,
         "n_shards": n_shards,
         "salt_bits": salt_bits,
-        "doc_ordinals": True,  # postings store dense ranks; see docmap.bin
+        "doc_ordinals": True,  # postings store dense ranks; see docmap.py
         "positions": bool(positions),
         "placement": PLACEMENT,
         "hot_terms": sorted(hot_terms),

@@ -10,8 +10,8 @@ Replaces the opaque Milvus ``SPARSE_INVERTED_INDEX`` posting storage
     doc id, so a whole-list decode is one varbyte pass + one cumsum, while a
     skipped-to block can still be decoded alone from ``block_last_docid``);
   * per posting we store (gap, tf) only — doc lengths live in the index's
-    forward ``doclens.bin`` array (ordinal-indexed, one int32 per doc; see
-    segments.py), so the hottest lists carry ~2 bytes per posting.  Doc
+    forward doc-length array (ordinal-indexed, one int32 per doc; see
+    docmap.py), so the hottest lists carry ~2 bytes per posting.  Doc
     lengths are still SUPPLIED at encode time for the block-max bounds, but
     are not stored in the blob;
   * per block of ``BLOCK`` postings: last doc id and an upper bound of the

@@ -25,18 +25,16 @@ delete/update is first-class and scale-safe, Lucene-style:
 
 Scale notes (10^12 docs): the ordinal REMAP is ``o - count(tombstones <=
 o)`` — one searchsorted against the sorted tombstone-ordinal array, so
-per-task memory is O(|deleted|), never O(corpus).  The tombstone array is
-the only piece proportional to the delete set; beyond ~10^9 deletes it
-SHARDS BY ORDINAL RANGE exactly like docmap/ — implemented here as the
-``tombstones.d/`` layout (``shard_tombstones`` converts, ``delete_docs``
-appends in place): fixed-width ordinal ranges, one sorted-ordinal file per
-occupied range plus a tiny ranges.json.  A range-restricted query engine
-(query.run_queries_sharded) then loads ONLY the tombstone shards
-overlapping its ordinal slice (``tombstone_ordinals(..., ord_range=...)``)
-— its resident dead-set is ~|deleted|/n_ranges, never the whole delete
-set.  Docmap compaction reuses the sharded layout the same way: one task
-per docmap shard, driver prefix-sums the survivor counts (same protocol
-as docmap.write_sharded).
+per-task memory is O(|deleted|), never O(corpus).  The tombstone file is
+the only piece proportional to the delete set, and compaction bounds it:
+it folds the deletes into a new index with no tombstones.  A
+range-restricted query engine (query.run_queries_sharded) keeps only the
+dead ordinals of its own slice (``tombstone_ordinals(..., ord_range=...)``).
+Docmap compaction of a sharded forward-array source runs one task per
+docmap shard (docmap.compact_sharded).
+
+This module is the only writer of the tombstone file (``write_tombstones``:
+delete_docs, and the merge's union of its inputs' sets).
 """
 
 from __future__ import annotations
@@ -44,144 +42,70 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 
 from .alias import write_json_atomic
 from .codecs import take_slices
-from .docmap import (RANGES_NAME, SHARD_DIR, open_doc_arrays,
-                     sorted_member)
+from .docmap import (ShardedDocArrays, compact_sharded, open_doc_arrays,
+                     sorted_member, write_flat)
 from .segments import SegmentBuilder, SegmentReader, validate_segment
 
 TOMBSTONES = "tombstones.bin"
+# the ordinal-range-sharded tombstone layout of earlier versions: nothing
+# reads it any more, so a dir that holds it refuses to serve (its deleted
+# docs would silently come back) until it is rebuilt
+_LEGACY_TOMBSTONES = "tombstones.d"
+EXCLUDED = "docs_excluded.bin"
 
 
 # ---------------------------------------------------------------- tombstones --
 
-TOMB_DIR = "tombstones.d"  # sharded-by-ordinal-range layout (>= ~1e9 deletes)
-TOMB_SHARD_SIZE = 1 << 20  # default ordinals per shard file
-
-
-def _tomb_manifest(index_dir: str) -> dict | None:
-    p = os.path.join(index_dir, TOMB_DIR, RANGES_NAME)
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        return json.load(f)
-
-
-def _read_sharded_ords(index_dir: str, man: dict,
-                       lo: int | None = None,
-                       hi: int | None = None) -> np.ndarray:
-    """Dead ORDINALS from the sharded layout, reading ONLY the shard files
-    whose fixed-width range overlaps [lo, hi) — the block-overlap-scoped
-    lookup a range-restricted engine needs."""
-    size = int(man["shard_size"])
-    parts = []
-    for s in man["shards"]:  # ascending start order (written sorted)
-        start = int(s["start"])
-        if hi is not None and start >= hi:
-            break
-        if lo is not None and start + size <= lo:
-            continue
-        parts.append(np.fromfile(
-            os.path.join(index_dir, TOMB_DIR, s["file"]), dtype=np.int64))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    out = np.concatenate(parts)  # disjoint ascending ranges -> sorted
-    if lo is not None:
-        out = out[np.searchsorted(out, lo, side="left"):]
-    if hi is not None:
-        out = out[: np.searchsorted(out, hi, side="left")]
-    return out
-
-
-def _write_tomb_shards(index_dir: str, ords: np.ndarray,
-                       shard_size: int) -> int:
-    """(Re)write the whole sharded layout from a sorted ordinal array;
-    ranges.json lands last (tmp+rename) so a killed write never validates.
-    Returns the shard-file count."""
-    import shutil as _shutil
-
-    root = os.path.join(index_dir, TOMB_DIR)
-    if os.path.isdir(root):
-        _shutil.rmtree(root)
-    os.makedirs(root)
-    shards = []
-    if len(ords):
-        buckets = ords // shard_size
-        starts = np.unique(buckets) * shard_size
-        cut = np.searchsorted(ords, np.r_[starts, starts[-1] + shard_size])
-        for i, start in enumerate(starts):
-            sub = ords[cut[i]:cut[i + 1]]
-            name = f"ts-{int(start):016x}.bin"
-            tmp = os.path.join(root, name + ".tmp")
-            sub.astype(np.int64).tofile(tmp)
-            os.replace(tmp, os.path.join(root, name))
-            shards.append({"start": int(start), "count": int(len(sub)),
-                           "file": name})
-    man = {"shard_size": int(shard_size), "shards": shards}
-    tmp = os.path.join(root, RANGES_NAME + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(man, f, indent=1)
-    os.replace(tmp, os.path.join(root, RANGES_NAME))
-    return len(shards)
-
-
-def shard_tombstones(index_dir: str,
-                     shard_size: int = TOMB_SHARD_SIZE) -> int:
-    """Convert the index's tombstones to (or re-shard within) the
-    ordinal-range-sharded layout; removes the flat file.  Idempotent;
-    subsequent delete_docs calls append shard-locally.  Returns the shard
-    count."""
-    with _index_lock(index_dir):
-        docs = open_doc_arrays(index_dir)
-        ords = tombstone_ordinals(index_dir, docs)
-        flat = os.path.join(index_dir, TOMBSTONES)
-        # crash safety for RE-sharding: _write_tomb_shards rmtree's the old
-        # tombstones.d before the new ranges.json lands, so a kill in that
-        # window would otherwise leave NO readable layout.  Persist the set
-        # as the flat id file first — readers prefer the sharded manifest,
-        # so the flat copy is dead weight until a crash makes it the
-        # fallback; it is removed once the new layout is complete.
-        if len(ords):
-            tmp = flat + ".tmp"
-            docs.gather_ids(ords).astype(np.int64).tofile(tmp)
-            os.replace(tmp, flat)
-        n = _write_tomb_shards(index_dir, ords, shard_size)
-        if os.path.exists(flat):
-            os.remove(flat)
-    return n
-
-
-def remove_tombstone_files(index_dir: str) -> None:
-    """Drop every tombstone artifact (both layouts) — used when an index
-    dir is rebuilt/compacted and stale tombstones must not survive."""
-    import shutil as _shutil
-
-    flat = os.path.join(index_dir, TOMBSTONES)
-    if os.path.exists(flat):
-        os.remove(flat)
-    root = os.path.join(index_dir, TOMB_DIR)
-    if os.path.isdir(root):
-        _shutil.rmtree(root)
-
-
-def read_tombstones(index_dir: str) -> np.ndarray:
-    """Sorted unique REAL doc ids marked deleted (empty array if none) —
-    either layout (the sharded layout stores ordinals; they translate back
-    through the forward docmap, order-preserving)."""
-    man = _tomb_manifest(index_dir)
-    if man is not None:
-        ords = _read_sharded_ords(index_dir, man)
-        if not len(ords):
-            return np.empty(0, dtype=np.int64)
-        return open_doc_arrays(index_dir).gather_ids(ords)
-    path = os.path.join(index_dir, TOMBSTONES)
+def _read_ids(path: str) -> np.ndarray:
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return np.empty(0, dtype=np.int64)
     return np.fromfile(path, dtype=np.int64)
+
+
+def _write_ids(path: str, ids) -> None:
+    """Write the sorted unique ``ids`` atomically, or remove the file when
+    the set is empty — an empty set must DELETE a stale file left by a
+    previous use of the directory, not silently keep it."""
+    if not len(ids):
+        if os.path.exists(path):
+            os.remove(path)
+        return
+    tmp = path + ".tmp"
+    np.unique(np.asarray(ids, dtype=np.int64)).tofile(tmp)
+    os.replace(tmp, path)
+
+
+def write_tombstones(index_dir: str, ids) -> None:
+    """Set the index's tombstones to the real doc ``ids`` (the caller holds
+    the index lock, or owns the dir outright as a merge's output does)."""
+    _write_ids(os.path.join(index_dir, TOMBSTONES), ids)
+
+
+def remove_tombstone_files(index_dir: str) -> None:
+    """Drop every tombstone artifact (an old ``tombstones.d/`` too) — used
+    when an index dir is rebuilt/compacted/merged into and stale tombstones
+    must not survive."""
+    write_tombstones(index_dir, ())
+    shutil.rmtree(os.path.join(index_dir, _LEGACY_TOMBSTONES),
+                  ignore_errors=True)
+
+
+def read_tombstones(index_dir: str) -> np.ndarray:
+    """Sorted unique REAL doc ids marked deleted (empty array if none)."""
+    if os.path.isdir(os.path.join(index_dir, _LEGACY_TOMBSTONES)):
+        raise ValueError(
+            f"{index_dir} holds a sharded tombstone layout "
+            f"({_LEGACY_TOMBSTONES}/) that this version no longer reads; "
+            "serving it would bring its deleted docs back — rebuild the "
+            "index")
+    return _read_ids(os.path.join(index_dir, TOMBSTONES))
 
 
 class _index_lock:
@@ -213,8 +137,7 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     ignored (delete of a missing doc is a no-op, matching SQL DELETE).
     Concurrent delete calls on one host serialize on an flock'd lock file
     (the read-union-write is a lost-update hazard otherwise); multi-writer
-    across HOSTS still needs an external coordinator, as the module
-    docstring's scale notes say.
+    across HOSTS still needs an external coordinator.
     """
     ids = np.unique(np.asarray(doc_ids, dtype=np.int64))
     docs = open_doc_arrays(index_dir)
@@ -222,37 +145,8 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     ords = docs.ords_of_ids(ids)
     present = docs.gather_ids(ords) if len(ords) else np.empty(0, np.int64)
     with _index_lock(index_dir):
-        man = _tomb_manifest(index_dir)
-        if man is not None:
-            # sharded layout: union ONLY the shard files the new ordinals
-            # fall into, rewrite those + the tiny ranges.json — O(affected
-            # shards), never a full-delete-set rewrite
-            size = int(man["shard_size"])
-            root = os.path.join(index_dir, TOMB_DIR)
-            shards = {int(s["start"]): s for s in man["shards"]}
-            for start in (np.unique(ords // size) * size).tolist():
-                sub = ords[(ords >= start) & (ords < start + size)]
-                name = f"ts-{int(start):016x}.bin"
-                path = os.path.join(root, name)
-                old = (np.fromfile(path, dtype=np.int64)
-                       if start in shards else np.empty(0, np.int64))
-                new = np.union1d(old, sub)
-                tmp = path + ".tmp"
-                new.astype(np.int64).tofile(tmp)
-                os.replace(tmp, path)
-                shards[start] = {"start": int(start), "count": int(len(new)),
-                                 "file": name}
-            man = {"shard_size": size,
-                   "shards": [shards[s] for s in sorted(shards)]}
-            tmp = os.path.join(root, RANGES_NAME + ".tmp")
-            with open(tmp, "w") as f:
-                json.dump(man, f, indent=1)
-            os.replace(tmp, os.path.join(root, RANGES_NAME))
-            return int(sum(s["count"] for s in man["shards"]))
         merged = np.union1d(read_tombstones(index_dir), present)
-        tmp = os.path.join(index_dir, TOMBSTONES + ".tmp")
-        merged.astype(np.int64).tofile(tmp)
-        os.replace(tmp, os.path.join(index_dir, TOMBSTONES))
+        write_tombstones(index_dir, merged)
     return int(len(merged))
 
 
@@ -260,14 +154,8 @@ def tombstone_ordinals(index_dir: str, docs=None,
                        ord_range: "tuple[int, int] | None" = None
                        ) -> np.ndarray:
     """Tombstoned doc ORDINALS, sorted (what the scorers and the compactor
-    mask/remap against).  ``ord_range=(lo, hi)`` scopes the result to one
-    ordinal slice — under the sharded layout only the overlapping shard
-    FILES are read, so a range-restricted engine's dead-set residency is
-    ~|deleted|/n_ranges."""
-    man = _tomb_manifest(index_dir)
-    if man is not None:
-        lo, hi = ord_range if ord_range is not None else (None, None)
-        return _read_sharded_ords(index_dir, man, lo, hi)
+    mask/remap against).  ``ord_range=(lo, hi)`` keeps only one ordinal
+    slice (a range-restricted engine's own)."""
     ids = read_tombstones(index_dir)
     if not len(ids):
         return np.empty(0, dtype=np.int64)
@@ -280,32 +168,17 @@ def tombstone_ordinals(index_dir: str, docs=None,
     return ords
 
 
-EXCLUDED = "docs_excluded.bin"
-
-
 def read_excluded(index_dir: str) -> np.ndarray:
     """Sorted real doc ids REMOVED from this index by compaction (the docs
     table behind ``docs_sources`` still contains them; read_docs filters
     them out).  Distinct from tombstones: excluded docs have no ordinal or
     postings at all."""
-    path = os.path.join(index_dir, EXCLUDED)
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.fromfile(path, dtype=np.int64)
+    return _read_ids(os.path.join(index_dir, EXCLUDED))
 
 
 def write_excluded(index_dir: str, ids: np.ndarray) -> None:
-    """Write (or remove, when empty) the excluded-docs sidecar atomically —
-    an empty set must DELETE a stale file left by a previous use of the
-    directory, not silently keep it."""
-    path = os.path.join(index_dir, EXCLUDED)
-    if not len(ids):
-        if os.path.exists(path):
-            os.remove(path)
-        return
-    tmp = path + ".tmp"
-    np.unique(np.asarray(ids, dtype=np.int64)).tofile(tmp)
-    os.replace(tmp, path)
+    """Write (or remove, when empty) the excluded-docs sidecar."""
+    _write_ids(os.path.join(index_dir, EXCLUDED), ids)
 
 
 def tombstones_fingerprint(index_dir: str) -> str | None:
@@ -377,129 +250,6 @@ def _compact_seg_batch(t: pa.Table, *, src_index: str, src_root: str,
     })
 
 
-def _write_flat_docmap(out_dir: str, new_map: np.ndarray,
-                       new_lens: np.ndarray,
-                       new_langs: np.ndarray) -> None:
-    from .docmap import LANGVALS_NAME
-
-    for name, arr in (("docmap.bin", new_map.astype(np.int64)),
-                      ("doclens.bin", new_lens.astype(np.int32)),
-                      (LANGVALS_NAME, new_langs.astype(np.uint8))):
-        tmp = os.path.join(out_dir, name + ".tmp")
-        arr.tofile(tmp)
-        os.replace(tmp, os.path.join(out_dir, name))
-
-
-def _compact_docmap_shard_batch(t: pa.Table, *, src_root: str, out_root: str,
-                                tomb_ref) -> pa.Table:
-    """One task per docmap shard: filter the shard's (dm, dl) arrays by the
-    tombstone ordinals falling in its range, write the surviving pair under
-    the output's docmap/ (same min-id naming), return a summary row.  Memory
-    per task is one shard + O(|deleted|) — never O(corpus)."""
-    import ray
-
-    tomb = ray.get(tomb_ref)
-    out = {"ordinal_start_src": [], "min_id": [], "max_id": [], "count": [],
-           "total_len": [], "dm": [], "dl": [], "lv": [], "lang_vocab": []}
-    for row in t.to_pylist():
-        start = int(row["ordinal_start"])
-        count = int(row["count"])
-        if not row.get("lv"):
-            raise ValueError(
-                "source docmap shard lacks the lang doc-values sidecar "
-                "(pre-docvalues index layout); rebuild the index before "
-                "compacting")
-        dm = np.fromfile(os.path.join(src_root, row["dm"]), dtype=np.int64)
-        dl = np.fromfile(os.path.join(src_root, row["dl"]), dtype=np.int32)
-        lv = np.fromfile(os.path.join(src_root, row["lv"]), dtype=np.uint8)
-        lo = np.searchsorted(tomb, start, side="left")
-        hi = np.searchsorted(tomb, start + count, side="left")
-        keep = np.ones(count, dtype=bool)
-        keep[tomb[lo:hi] - start] = False
-        dm, dl, lv = dm[keep], dl[keep], lv[keep]
-        if not len(dm):
-            continue
-        stem = f"{int(dm[0]):016x}"
-        dm_name, dl_name, lv_name = (f"dm-{stem}.bin", f"dl-{stem}.bin",
-                                     f"lv-{stem}.bin")
-        for name, arr in ((dm_name, dm), (dl_name, dl), (lv_name, lv)):
-            tmp = os.path.join(out_root, name + ".tmp")
-            arr.tofile(tmp)
-            os.replace(tmp, os.path.join(out_root, name))
-        out["ordinal_start_src"].append(start)
-        out["min_id"].append(int(dm[0]))
-        out["max_id"].append(int(dm[-1]))
-        out["count"].append(len(dm))
-        out["total_len"].append(int(dl.astype(np.int64).sum()))
-        out["dm"].append(dm_name)
-        out["dl"].append(dl_name)
-        out["lv"].append(lv_name)
-        # survivor codes stay valid against the SOURCE shard vocabulary
-        # (a vanished lang simply never occurs); pass it through unchanged
-        out["lang_vocab"].append(row.get("lang_vocab", ""))
-    return pa.table(
-        {
-            "ordinal_start_src": pa.array(out["ordinal_start_src"], pa.int64()),
-            "min_id": pa.array(out["min_id"], pa.int64()),
-            "max_id": pa.array(out["max_id"], pa.int64()),
-            "count": pa.array(out["count"], pa.int64()),
-            "total_len": pa.array(out["total_len"], pa.int64()),
-            "dm": pa.array(out["dm"], pa.string()),
-            "dl": pa.array(out["dl"], pa.string()),
-            "lv": pa.array(out["lv"], pa.string()),
-            "lang_vocab": pa.array(out["lang_vocab"], pa.string()),
-        }
-    )
-
-
-def _compact_docmap_sharded(index_dir: str, out_dir: str, tomb_ref,
-                            n_docs: int, n_tomb: int) -> tuple[int, int]:
-    """Distributed docmap compaction (sharded source layout): one Ray task
-    per shard filters and rewrites its (dm, dl) pair; the driver only sees
-    one summary row per shard and prefix-sums the new ordinal starts —
-    the same protocol as docmap.write_sharded.  Returns (n_live, total_len).
-    """
-    import shutil as _shutil
-
-    import ray.data as rd
-
-    src_root = os.path.join(index_dir, SHARD_DIR)
-    out_root = os.path.join(out_dir, SHARD_DIR)
-    if os.path.isdir(out_root):
-        _shutil.rmtree(out_root)
-    os.makedirs(out_root)
-    with open(os.path.join(src_root, RANGES_NAME)) as f:
-        src_man = json.load(f)
-    rows = (
-        rd.from_items(src_man["shards"])
-        .map_batches(
-            _compact_docmap_shard_batch, batch_format="pyarrow", batch_size=4,
-            fn_kwargs={"src_root": src_root, "out_root": out_root,
-                       "tomb_ref": tomb_ref},
-        )
-        .take_all()
-    )
-    rows.sort(key=lambda r: r["ordinal_start_src"])
-    shards, start, total_len = [], 0, 0
-    for r in rows:
-        shards.append({"dm": r["dm"], "dl": r["dl"], "lv": r["lv"],
-                       "lang_vocab": r["lang_vocab"], "min_id": r["min_id"],
-                       "max_id": r["max_id"], "count": r["count"],
-                       "ordinal_start": start})
-        start += r["count"]
-        total_len += r["total_len"]
-    n_live = start
-    if n_live != n_docs - n_tomb:
-        raise AssertionError(
-            f"docmap compaction kept {n_live} rows, expected {n_docs - n_tomb}")
-    manifest = {"n_docs": n_live, "shards": shards}
-    tmp = os.path.join(out_root, RANGES_NAME + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(out_root, RANGES_NAME))
-    return n_live, total_len
-
-
 def compact_index(index_dir: str, out_dir: str) -> dict:
     """Rewrite ``index_dir`` minus its tombstones into ``out_dir``.
 
@@ -518,6 +268,10 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     if not man.get("doc_ordinals"):
         raise ValueError("compact requires an ordinal-postings index")
     docs = open_doc_arrays(index_dir)
+    if not docs.has_langvals:
+        raise ValueError(
+            "source index lacks the lang doc-values sidecar "
+            "(pre-docvalues layout); rebuild the index before compacting")
     tomb = tombstone_ordinals(index_dir, docs)
     n_docs = man["n_docs"]
     n_live = n_docs - len(tomb)
@@ -527,28 +281,20 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
     tomb_ref = _ray.put(tomb)
     # compacted forward arrays: survivors keep sorted-id order, so the new
-    # map is a boolean filter.  Sharded source layout -> one Ray task per
+    # arrays are a boolean filter.  Sharded source layout -> one Ray task per
     # docmap shard (driver sees one summary row each, 10^12-doc safe);
     # flat source -> bounded driver-side filter mirroring its layout.
-    if os.path.exists(os.path.join(index_dir, SHARD_DIR, RANGES_NAME)):
-        n_live2, total_len = _compact_docmap_sharded(
-            index_dir, out_dir, tomb_ref, n_docs, len(tomb))
-        assert n_live2 == n_live
+    if isinstance(docs, ShardedDocArrays):
+        total_len = compact_sharded(index_dir, out_dir, tomb_ref, n_live)
     else:
         keep = np.ones(n_docs, dtype=bool)
         keep[tomb] = False
-        if not docs.has_langvals:
-            raise ValueError(
-                "source index lacks the lang doc-values sidecar "
-                "(pre-docvalues layout); rebuild the index before "
-                "compacting")
-        new_map = docs.docmap_array()[keep]
         new_lens = docs.doclens_array()[keep]
+        total_len = int(new_lens.astype(np.int64).sum())
         # flat langvals store GLOBAL codes and the compacted manifest keeps
         # the source langs list, so a boolean filter is the whole rewrite
-        new_langs = docs.langvals_array()[keep]
-        total_len = int(new_lens.astype(np.int64).sum())
-        _write_flat_docmap(out_dir, new_map, new_lens, new_langs)
+        write_flat(out_dir, docs.docmap_array()[keep], new_lens,
+                   docs.langvals_array()[keep])
     avgdl = total_len / n_live
     src_root = os.path.join(index_dir, "segments")
     out_root = os.path.join(out_dir, "segments")
@@ -609,7 +355,7 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
         "segments": seg_rows,
         "source_fps": [{"corpus_fp": man.get("corpus_fp"),
                         "n_docs": n_docs,
-                        "tombstones_fp": tombstones_fingerprint(index_dir)}],
+                        "tombstones_fp": tomb_fp}],
         # a checkpoint="none" base has no staging dir — keep the list empty
         # so read_docs raises its documented error rather than failing on a
         # missing path (compaction itself never reads the docs table)
@@ -620,8 +366,8 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     }
     if "placement" in man:  # compaction keeps every segment's shard
         manifest["placement"] = man["placement"]
-    # the compacted index has NO tombstones (remove any stale artifacts of
-    # either layout from a reused out_dir), but its docs table
+    # the compacted index has NO tombstones (remove any stale ones from a
+    # reused out_dir), but its docs table
     # (docs_sources -> base staging) still contains the removed docs:
     # record them in the excluded sidecar so read_docs filters them;
     # chains of compactions accumulate the union

@@ -1,16 +1,25 @@
 """Doc-ordinal forward arrays (docmap = ordinal -> 63-bit doc id, doclens =
-ordinal -> doc length), in two layouts behind one reader interface:
+ordinal -> doc length, langvals = ordinal -> lang code), in two layouts
+behind one reader interface.  This module is the only one that names or
+writes their files:
 
-  * FLAT      docmap.bin / doclens.bin — single files, written by the
-              driver-argsort ordinal path (small corpora).
-  * SHARDED   docmap/dm-<min_id>.bin + dl-<min_id>.bin + ranges.json —
-              written BY THE SORT'S OUTPUT TASKS themselves (build.py's
-              distributed ordinal pass): each range-partition block lands as
-              one shard pair named by its minimum doc id, and the driver
-              only sees per-shard summary rows (min/max/count) from which it
-              prefix-sums the ordinal starts and writes the tiny manifest.
-              Nothing doc-scale ever flows through one write cursor — at
-              10^12 docs the driver handles one JSON row per shard.
+  * FLAT      docmap.bin / doclens.bin / langvals.bin — single files,
+              written by ``write_flat`` (the build's driver argsort, the
+              merge, and compaction of a flat source).
+  * SHARDED   docmap/dm-<min_id>.bin + dl-<min_id>.bin + lv-<min_id>.bin
+              + ranges.json — written by ``write_sharded`` (the build's
+              distributed ordinal pass: the sort's output tasks write one
+              shard per range-partition block, named by its minimum doc id)
+              and ``compact_sharded`` (one task per source shard).  Both
+              write shards with one shard writer, and the driver only sees
+              per-shard summary rows (min/max/count), from which one
+              ranges.json writer prefix-sums the ordinal starts.  Nothing
+              doc-scale ever flows through one write cursor — at 10^12 docs
+              the driver handles one JSON row per shard.
+
+Each writer removes the other layout first: readers prefer the sharded one,
+so a flat write into a dir that held a sharded layout would otherwise be
+shadowed by the stale shards.
 
 Readers gather through ``open_doc_arrays``: the flat layout is a plain
 memmap; the sharded layout memmaps each shard lazily on first touch, so a
@@ -27,9 +36,10 @@ import shutil
 import numpy as np
 import pyarrow as pa
 
-RANGES_NAME = "ranges.json"
-SHARD_DIR = "docmap"
+from .alias import write_json_atomic
 
+DOCMAP_NAME = "docmap.bin"
+DOCLENS_NAME = "doclens.bin"
 # keyword doc-values sidecar (Lucene SORTED DocValues analogue): one uint8
 # code per ordinal mapping into the index's sorted lang vocabulary
 # (MANIFEST.json["langs"]); 255 = missing/empty.  Flat layout stores GLOBAL
@@ -40,6 +50,36 @@ SHARD_DIR = "docmap"
 # per shard is free next to the fancy-index gather.
 LANGVALS_NAME = "langvals.bin"
 LANG_MISSING = 255
+# the flat layout's files, in (ids, lens, lang codes) order
+FLAT_FILES = (DOCMAP_NAME, DOCLENS_NAME, LANGVALS_NAME)
+RANGES_NAME = "ranges.json"
+SHARD_DIR = "docmap"
+
+_DUP_MSG = ("duplicate (repo, path, commit) identity rows (or a 63-bit "
+           "doc_id collision); deduplicate the corpus first (ops.dedup) "
+           "or widen ids")
+
+
+def lang_remap(src, vocab) -> np.ndarray:
+    """uint8 LUT from codes against ``src`` to codes against the SORTED
+    ``vocab``: entry i is src[i]'s position in ``vocab``, LANG_MISSING when
+    src[i] is empty or absent from it, and LANG_MISSING for every index past
+    ``src`` (so a missing code maps to itself).  The one check of the uint8
+    code limit: ``vocab`` holds at most LANG_MISSING - 1 langs."""
+    vocab = np.asarray(vocab, dtype=object)
+    if len(vocab) >= LANG_MISSING:
+        raise ValueError(
+            f"lang doc-values support at most {LANG_MISSING - 1} distinct "
+            f"values (uint8 codes); got {len(vocab)}")
+    src = np.asarray(src, dtype=object)
+    lut = np.full(max(256, len(src)), LANG_MISSING, dtype=np.uint8)
+    if len(src) and len(vocab):
+        pos = np.searchsorted(vocab, src)
+        ok = pos < len(vocab)
+        ok[ok] = vocab[pos[ok]] == src[ok]
+        ok &= src != ""
+        lut[: len(src)] = np.where(ok, pos, LANG_MISSING)
+    return lut
 
 
 def encode_lang_codes(lang_col, vocab: "np.ndarray | list[str]") -> np.ndarray:
@@ -49,28 +89,12 @@ def encode_lang_codes(lang_col, vocab: "np.ndarray | list[str]") -> np.ndarray:
 
     if isinstance(lang_col, pa.ChunkedArray):
         lang_col = lang_col.combine_chunks()
-    vocab = np.asarray(vocab, dtype=object)
-    if len(vocab) >= LANG_MISSING:
-        raise ValueError(
-            f"lang doc-values support at most {LANG_MISSING - 1} distinct "
-            f"values (uint8 codes); got {len(vocab)}")
     enc = pc.dictionary_encode(lang_col)
-    d = np.asarray(enc.combine_chunks().dictionary.to_pylist()
-                   if isinstance(enc, pa.ChunkedArray)
-                   else enc.dictionary.to_pylist(), dtype=object)
-    if not len(d):  # all-null column: every row is LANG_MISSING
-        return np.full(len(lang_col), LANG_MISSING, dtype=np.uint8)
-    idx = enc.indices if not isinstance(enc, pa.ChunkedArray) else enc.combine_chunks().indices
-    codes = idx.to_numpy(zero_copy_only=False)
-    null_mask = np.asarray(pc.is_null(idx).to_numpy(zero_copy_only=False))
-    codes = np.where(null_mask, 0, codes).astype(np.int64)
-    # per-dictionary-entry LUT into the global vocab
-    pos = np.searchsorted(vocab, d)
-    ok = (pos < len(vocab))
-    ok[ok] = vocab[pos[ok]] == d[ok]
-    ok &= d != ""
-    lut = np.where(ok, pos, LANG_MISSING).astype(np.uint8)
-    out = lut[codes]
+    null_mask = np.asarray(pc.is_null(enc.indices).to_numpy(
+        zero_copy_only=False))
+    codes = np.where(null_mask, 0, enc.indices.to_numpy(
+        zero_copy_only=False)).astype(np.int64)
+    out = lang_remap(enc.dictionary.to_pylist(), vocab)[codes]
     out[null_mask] = LANG_MISSING
     return out
 
@@ -96,9 +120,9 @@ class FlatDocArrays:
     """Single-file layout: direct memmap fancy-indexing."""
 
     def __init__(self, index_dir: str):
-        self._map = np.memmap(os.path.join(index_dir, "docmap.bin"),
+        self._map = np.memmap(os.path.join(index_dir, DOCMAP_NAME),
                               dtype=np.int64, mode="r")
-        self._lens = np.memmap(os.path.join(index_dir, "doclens.bin"),
+        self._lens = np.memmap(os.path.join(index_dir, DOCLENS_NAME),
                                dtype=np.int32, mode="r")
         self.n_docs = len(self._map)
         lv = os.path.join(index_dir, LANGVALS_NAME)
@@ -213,23 +237,12 @@ class ShardedDocArrays:
                     "collapse/terms-agg queries")
             raw = np.memmap(os.path.join(self._root, s["lv"]),
                             dtype=np.uint8, mode="r")
-            sv = np.asarray([x for x in s.get("lang_vocab", "").split(",")
-                             if x], dtype=object)
-            vocab = self._vocab()
-            if len(vocab) >= LANG_MISSING:
+            sv = [x for x in s.get("lang_vocab", "").split(",") if x]
+            lut = lang_remap(sv, self._vocab())
+            if (lut[: len(sv)] == LANG_MISSING).any():
                 raise ValueError(
-                    f"manifest langs list has {len(vocab)} entries; lang "
-                    f"doc-values support at most {LANG_MISSING - 1} "
-                    "(uint8 codes)")
-            lut = np.full(256, LANG_MISSING, dtype=np.uint8)
-            if len(sv):
-                pos = np.searchsorted(vocab, sv)
-                if (pos >= len(vocab)).any() or (vocab[np.minimum(
-                        pos, len(vocab) - 1)] != sv).any():
-                    raise ValueError(
-                        "shard lang vocabulary not contained in the "
-                        "manifest langs list (corrupt sidecar)")
-                lut[: len(sv)] = pos.astype(np.uint8)
+                    "shard lang vocabulary not contained in the "
+                    "manifest langs list (corrupt sidecar)")
             m = lut[np.asarray(raw)]
             self._langs[i] = m
         return m
@@ -303,14 +316,9 @@ def open_doc_arrays(index_dir: str):
 
 def doc_arrays_valid(index_dir: str, n_docs: int) -> bool:
     """True iff either layout is present, complete and sized for n_docs."""
-    flat_map = os.path.join(index_dir, "docmap.bin")
-    flat_lens = os.path.join(index_dir, "doclens.bin")
-    flat_lv = os.path.join(index_dir, LANGVALS_NAME)
-    if (os.path.exists(flat_map) and os.path.getsize(flat_map) == 8 * n_docs
-            and os.path.exists(flat_lens)
-            and os.path.getsize(flat_lens) == 4 * n_docs
-            and os.path.exists(flat_lv)
-            and os.path.getsize(flat_lv) == n_docs):
+    if all(os.path.exists(p := os.path.join(index_dir, name))
+           and os.path.getsize(p) == width * n_docs
+           for name, width in zip(FLAT_FILES, (8, 4, 1))):
         return True
     rpath = os.path.join(index_dir, SHARD_DIR, RANGES_NAME)
     if not os.path.exists(rpath):
@@ -322,118 +330,167 @@ def doc_arrays_valid(index_dir: str, n_docs: int) -> bool:
             return False
         total = 0
         for s in man["shards"]:
-            dm = os.path.join(index_dir, SHARD_DIR, s["dm"])
-            dl = os.path.join(index_dir, SHARD_DIR, s["dl"])
             c = int(s["count"])
-            if not (os.path.exists(dm) and os.path.getsize(dm) == 8 * c
-                    and os.path.exists(dl) and os.path.getsize(dl) == 4 * c):
-                return False
             if "lv" not in s:
                 return False  # pre-docvalues layout: rebuild the pass
-            lv = os.path.join(index_dir, SHARD_DIR, s["lv"])
-            if not (os.path.exists(lv) and os.path.getsize(lv) == c):
-                return False
+            for key, width in (("dm", 8), ("dl", 4), ("lv", 1)):
+                p = os.path.join(index_dir, SHARD_DIR, s[key])
+                if not (os.path.exists(p) and os.path.getsize(p) == width * c):
+                    return False
             total += c
         return total == n_docs
     except (json.JSONDecodeError, OSError, KeyError):
         return False
 
 
-# ------------------------------------------------------------------ writer --
+# ----------------------------------------------------------------- writers --
 
-def _write_shard_batch(t: pa.Table, *, shard_root: str) -> pa.Table:
-    """One sorted range-partition block -> one (dm, dl) shard pair on disk,
-    named by the block's min doc id; returns a summary row.  Duplicate ids
-    WITHIN the block fail here; cross-block duplicates / overlaps fail at
-    the driver's boundary check."""
-    import pyarrow.compute as pc
-
-    if t.num_rows == 0:
-        return pa.table({"min_id": pa.array([], type=pa.int64()),
-                         "max_id": pa.array([], type=pa.int64()),
-                         "count": pa.array([], type=pa.int64()),
-                         "langs": pa.array([], type=pa.string()),
-                         "dm": pa.array([], type=pa.string()),
-                         "dl": pa.array([], type=pa.string()),
-                         "lv": pa.array([], type=pa.string())})
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+def _write_arrays(root: str, names, ids: np.ndarray, lens: np.ndarray,
+                  codes: np.ndarray) -> None:
+    """One set of forward arrays (ids, lens, lang codes) under ``names``,
+    each by temp file + rename.  ``ids`` must ascend: equal neighbours are
+    duplicate doc identities, which raise."""
     d = np.diff(ids)
     if (d < 0).any():
-        raise AssertionError("sorted block arrived out of order")
+        raise AssertionError("doc ids arrived out of order")
     if (d == 0).any():
-        raise ValueError(
-            "duplicate (repo, path, commit) identity rows (or a 63-bit "
-            "doc_id collision); deduplicate the corpus first (ops.dedup) "
-            "or widen ids"
-        )
-    dls = t["doc_len"].to_numpy(zero_copy_only=False).astype(np.int32)
-    lang_col = t["lang"]
-    if isinstance(lang_col, pa.ChunkedArray):
-        lang_col = lang_col.combine_chunks()
-    shard_vocab = sorted(x for x in pc.unique(lang_col).to_pylist() if x)
-    langs = ",".join(shard_vocab)
-    # per-shard codes against the shard's OWN sorted vocabulary (the global
-    # union doesn't exist yet while shard tasks run); readers remap via the
-    # lang_vocab recorded in ranges.json
-    codes = encode_lang_codes(lang_col, shard_vocab)
+        raise ValueError(_DUP_MSG)
+    for name, arr, dtype in zip(names, (ids, lens, codes),
+                                (np.int64, np.int32, np.uint8)):
+        tmp = os.path.join(root, name + ".tmp")
+        np.asarray(arr, dtype=dtype).tofile(tmp)
+        os.replace(tmp, os.path.join(root, name))
+
+
+def write_flat(index_dir: str, ids: np.ndarray, lens: np.ndarray,
+               lang_codes: np.ndarray) -> None:
+    """Write the FLAT layout of sorted doc ``ids``, their ``lens`` and
+    GLOBAL ``lang_codes``, after removing a sharded layout from the dir."""
+    shutil.rmtree(os.path.join(index_dir, SHARD_DIR), ignore_errors=True)
+    _write_arrays(index_dir, FLAT_FILES, ids, lens, lang_codes)
+
+
+def _fresh_shard_root(index_dir: str) -> str:
+    """An empty docmap/ dir, after removing the flat layout from the dir."""
+    for name in FLAT_FILES:
+        p = os.path.join(index_dir, name)
+        if os.path.exists(p):
+            os.remove(p)
+    root = os.path.join(index_dir, SHARD_DIR)
+    shutil.rmtree(root, ignore_errors=True)
+    os.makedirs(root)
+    return root
+
+
+# one summary row per written shard; every column but total_len is the
+# shard's ranges.json entry
+_SHARD_ROW = pa.schema([("dm", pa.string()), ("dl", pa.string()),
+                        ("lv", pa.string()), ("lang_vocab", pa.string()),
+                        ("min_id", pa.int64()), ("max_id", pa.int64()),
+                        ("count", pa.int64()), ("total_len", pa.int64())])
+
+
+def _write_shard(root: str, ids: np.ndarray, lens: np.ndarray,
+                 codes: np.ndarray, lang_vocab: str) -> dict:
+    """One shard's dm/dl/lv files, named by its min doc id; ``codes`` are
+    against ``lang_vocab`` (the shard's sorted langs, comma-joined).
+    Returns its summary row."""
     stem = f"{int(ids[0]):016x}"
-    dm_name, dl_name, lv_name = (f"dm-{stem}.bin", f"dl-{stem}.bin",
-                                 f"lv-{stem}.bin")
-    for name, arr in ((dm_name, np.ascontiguousarray(ids, dtype=np.int64)),
-                      (dl_name, dls),
-                      (lv_name, codes)):
-        tmp = os.path.join(shard_root, name + ".tmp")
-        arr.tofile(tmp)
-        os.replace(tmp, os.path.join(shard_root, name))
-    return pa.table(
-        {
-            "min_id": pa.array([int(ids[0])], type=pa.int64()),
-            "max_id": pa.array([int(ids[-1])], type=pa.int64()),
-            "count": pa.array([t.num_rows], type=pa.int64()),
-            "langs": pa.array([langs], type=pa.string()),
-            "dm": pa.array([dm_name], type=pa.string()),
-            "dl": pa.array([dl_name], type=pa.string()),
-            "lv": pa.array([lv_name], type=pa.string()),
-        }
-    )
+    names = [f"{key}-{stem}.bin" for key in ("dm", "dl", "lv")]
+    _write_arrays(root, names, ids, lens, codes)
+    return {"dm": names[0], "dl": names[1], "lv": names[2],
+            "lang_vocab": lang_vocab, "min_id": int(ids[0]),
+            "max_id": int(ids[-1]), "count": len(ids),
+            "total_len": int(lens.astype(np.int64).sum())}
+
+
+def _write_ranges(root: str, rows: list[dict], n_docs: int) -> None:
+    """ranges.json from the shards' summary rows: sorted by min id, ordinal
+    starts prefix-summed.  Written last, so a killed writer never
+    validates.  Cross-shard duplicates or overlaps fail here."""
+    rows = sorted(rows, key=lambda r: r["min_id"])
+    shards, start = [], 0
+    for prev, r in zip([None] + rows, rows):
+        if prev is not None and r["min_id"] <= prev["max_id"]:
+            if r["min_id"] == prev["max_id"]:
+                raise ValueError(_DUP_MSG)
+            raise AssertionError("sorted partitions overlap")
+        shards.append({k: r[k] for k in _SHARD_ROW.names[:-1]}
+                      | {"ordinal_start": start})
+        start += r["count"]
+    if start != n_docs:
+        raise AssertionError(
+            f"docmap shards hold {start} rows, expected {n_docs}")
+    write_json_atomic(os.path.join(root, RANGES_NAME),
+                      {"n_docs": n_docs, "shards": shards}, indent=1)
+
+
+def _write_shard_batch(t: pa.Table, *, shard_root: str) -> pa.Table:
+    """One sorted range-partition block -> one shard on disk, with codes
+    against the block's own sorted langs (the global union does not exist
+    yet while shard tasks run)."""
+    import pyarrow.compute as pc
+
+    rows = []
+    if t.num_rows:
+        lang_col = t["lang"]
+        vocab = sorted(x for x in pc.unique(lang_col).to_pylist() if x)
+        rows.append(_write_shard(
+            shard_root, t["doc_id"].to_numpy(zero_copy_only=False),
+            t["doc_len"].to_numpy(zero_copy_only=False),
+            encode_lang_codes(lang_col, vocab), ",".join(vocab)))
+    return pa.Table.from_pylist(rows, schema=_SHARD_ROW)
 
 
 def write_sharded(sorted_ds, index_dir: str, n_docs: int) -> None:
     """Distributed ordinal pass: the sort's output tasks write per-range
-    shard files; the driver prefix-sums ordinal starts over the tiny summary
-    table and writes ranges.json (last, so a killed run never validates)."""
-    root = os.path.join(index_dir, SHARD_DIR)
-    if os.path.isdir(root):
-        shutil.rmtree(root)
-    os.makedirs(root)
-    rows = (
-        sorted_ds.map_batches(
-            _write_shard_batch, batch_format="pyarrow", batch_size=None,
-            fn_kwargs={"shard_root": root},
-        ).take_all()
-    )
-    rows.sort(key=lambda r: r["min_id"])
-    n_written = sum(r["count"] for r in rows)
-    if n_written != n_docs:
-        raise AssertionError(
-            f"ordinal pass wrote {n_written} rows, metadata counted {n_docs}")
-    shards = []
-    start = 0
-    prev_max = None
-    for r in rows:
-        if prev_max is not None and r["min_id"] <= prev_max:
-            if r["min_id"] == prev_max:
-                raise ValueError("duplicate doc_id across sorted partitions; "
-                                 "deduplicate the corpus first")
-            raise AssertionError("sorted partitions overlap")
-        prev_max = r["max_id"]
-        shards.append({"dm": r["dm"], "dl": r["dl"], "lv": r["lv"],
-                       "lang_vocab": r["langs"], "min_id": r["min_id"],
-                       "max_id": r["max_id"], "count": r["count"],
-                       "ordinal_start": start})
-        start += r["count"]
-    manifest = {"n_docs": n_docs, "shards": shards}
-    tmp = os.path.join(root, RANGES_NAME + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(root, RANGES_NAME))
+    shard files; the driver writes ranges.json from one row per shard."""
+    root = _fresh_shard_root(index_dir)
+    rows = sorted_ds.map_batches(
+        _write_shard_batch, batch_format="pyarrow", batch_size=None,
+        fn_kwargs={"shard_root": root}).take_all()
+    _write_ranges(root, rows, n_docs)
+
+
+def _compact_shard_batch(t: pa.Table, *, src_root: str, out_root: str,
+                         tomb_ref) -> pa.Table:
+    """Each source shard minus the tombstone ordinals in its range, written
+    under the output's docmap/.  Memory per task is one shard +
+    O(|deleted|) — never O(corpus)."""
+    import ray
+
+    tomb = ray.get(tomb_ref)
+    rows = []
+    for row in t.to_pylist():
+        start, count = int(row["ordinal_start"]), int(row["count"])
+        keep = np.ones(count, dtype=bool)
+        keep[tomb[np.searchsorted(tomb, start):
+                  np.searchsorted(tomb, start + count)] - start] = False
+        if not keep.any():
+            continue
+        dm, dl, lv = (np.fromfile(os.path.join(src_root, row[key]),
+                                  dtype=dtype)[keep]
+                      for key, dtype in (("dm", np.int64), ("dl", np.int32),
+                                         ("lv", np.uint8)))
+        # survivor codes stay valid against the SOURCE shard vocabulary
+        # (a vanished lang simply never occurs)
+        rows.append(_write_shard(out_root, dm, dl, lv, row["lang_vocab"]))
+    return pa.Table.from_pylist(rows, schema=_SHARD_ROW)
+
+
+def compact_sharded(index_dir: str, out_dir: str, tomb_ref,
+                    n_live: int) -> int:
+    """Docmap compaction of a SHARDED source: one Ray task per source shard
+    drops the sorted dead ordinals (``tomb_ref``, an object ref) from its
+    arrays; the survivors keep sorted-id order.  Returns their total doc
+    length."""
+    import ray.data as rd
+
+    src = ShardedDocArrays(index_dir)
+    root = _fresh_shard_root(out_dir)
+    rows = rd.from_items(src._shards).map_batches(
+        _compact_shard_batch, batch_format="pyarrow", batch_size=4,
+        fn_kwargs={"src_root": src._root, "out_root": root,
+                   "tomb_ref": tomb_ref}).take_all()
+    _write_ranges(root, rows, n_live)
+    return sum(r["total_len"] for r in rows)

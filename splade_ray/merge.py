@@ -36,6 +36,9 @@ import pyarrow as pa
 import ray.data
 
 from .alias import write_json_atomic
+from .delete import (read_excluded, read_tombstones, remove_tombstone_files,
+                     write_excluded, write_tombstones)
+from .docmap import LANG_MISSING, lang_remap, open_doc_arrays, write_flat
 from .segments import merge_segments, validate_segment
 
 
@@ -127,16 +130,20 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
                 "rebuild the non-positional inputs with positions=True"
             )
 
+    # read before anything is written: an input whose tombstones cannot be
+    # read fails the merge up front
+    tomb = np.concatenate(
+        [read_tombstones(d) for d in index_dirs] + [np.empty(0, np.int64)])
     n_docs = sum(m["n_docs"] for m in manifests)
     total_len = sum(m["total_doc_len"] for m in manifests)
     avgdl = total_len / n_docs
     n_shards = base["n_shards"]
 
-    # merged docmap: ordinals of each generation remap through its own
-    # docmap to real ids, then into the merged sorted id space
+    # merged forward arrays: ordinals of each generation remap through its
+    # own docmap to real ids, then into the merged sorted id space; lang
+    # codes (GLOBAL against each input's manifest langs) remap into the
+    # merged sorted-union vocabulary
     import ray as _ray
-
-    from .docmap import open_doc_arrays
 
     in_arrays = [open_doc_arrays(d) for d in index_dirs]
     id_maps = [a.docmap_array() for a in in_arrays]
@@ -145,37 +152,16 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
         raise ValueError(
             "inputs share documents — merge requires disjoint doc sets"
         )
-    os.makedirs(out_dir, exist_ok=True)
-    tmp_map = os.path.join(out_dir, "docmap.bin.tmp")
-    new_map.tofile(tmp_map)
-    os.replace(tmp_map, os.path.join(out_dir, "docmap.bin"))
-    # merged forward doc-length array, remapped into the new ordinal space
-    new_doclens = np.zeros(len(new_map), dtype=np.int32)
-    for a, old_map in zip(in_arrays, id_maps):
-        new_doclens[np.searchsorted(new_map, old_map)] = a.doclens_array()
-    tmp_dl = os.path.join(out_dir, "doclens.bin.tmp")
-    new_doclens.tofile(tmp_dl)
-    os.replace(tmp_dl, os.path.join(out_dir, "doclens.bin"))
-    # merged lang doc-values: each generation's GLOBAL codes (valid against
-    # its own manifest langs) remap into the merged sorted-union vocabulary
-    from .docmap import LANG_MISSING, LANGVALS_NAME
-
     merged_langs = sorted({lg for m in manifests for lg in m["langs"]})
-    if len(merged_langs) >= 255:
-        raise ValueError(
-            f"merged lang union has {len(merged_langs)} entries; lang "
-            "doc-values support at most 254 (uint8 codes)")
+    new_doclens = np.zeros(len(new_map), dtype=np.int32)
     new_langvals = np.full(len(new_map), LANG_MISSING, dtype=np.uint8)
     for a, old_map, m in zip(in_arrays, id_maps, manifests):
-        lut = np.full(256, LANG_MISSING, dtype=np.uint8)
-        if m["langs"]:
-            lut[: len(m["langs"])] = np.searchsorted(
-                merged_langs, m["langs"]).astype(np.uint8)
-        new_langvals[np.searchsorted(new_map, old_map)] = lut[
+        at = np.searchsorted(new_map, old_map)
+        new_doclens[at] = a.doclens_array()
+        new_langvals[at] = lang_remap(m["langs"], merged_langs)[
             a.langvals_array()]
-    tmp_lv = os.path.join(out_dir, LANGVALS_NAME + ".tmp")
-    new_langvals.tofile(tmp_lv)
-    os.replace(tmp_lv, os.path.join(out_dir, LANGVALS_NAME))
+    os.makedirs(out_dir, exist_ok=True)
+    write_flat(out_dir, new_map, new_doclens, new_langvals)
     map_refs = [_ray.put(m) for m in id_maps]
     new_map_ref = _ray.put(new_map)
     doclens_ref = _ray.put(new_doclens)
@@ -223,21 +209,11 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
     # tombstones PROPAGATE: a doc deleted in any input generation stays
     # deleted in the merged index (its postings still merge through — the
     # mask stays query-side until compact_index reclaims them).  An empty
-    # union REMOVES any stale tombstones.bin left in a reused out_dir.
+    # union leaves no tombstones in a reused out_dir.
     # The compaction-excluded sidecars union the same way: the merged docs
     # view (docs_sources) must keep filtering docs a compaction removed.
-    from .delete import (read_excluded, read_tombstones,
-                         remove_tombstone_files, write_excluded)
-
-    tomb = np.unique(np.concatenate(
-        [read_tombstones(d) for d in index_dirs] + [np.empty(0, np.int64)]
-    ))
-    remove_tombstone_files(out_dir)  # stale artifacts of either layout
-    if len(tomb):
-        tomb_path = os.path.join(out_dir, "tombstones.bin")
-        tmp_t = tomb_path + ".tmp"
-        tomb.astype(np.int64).tofile(tmp_t)
-        os.replace(tmp_t, tomb_path)
+    remove_tombstone_files(out_dir)
+    write_tombstones(out_dir, tomb)
     write_excluded(out_dir, np.unique(np.concatenate(
         [read_excluded(d) for d in index_dirs] + [np.empty(0, np.int64)]
     )))
@@ -252,7 +228,7 @@ def merge_index_dirs(index_dirs: list[str], out_dir: str) -> dict:
         "n_dropped_rows": sum(m["n_dropped_rows"] for m in manifests),
         "total_doc_len": total_len,
         "avgdl": avgdl,
-        "langs": sorted({lg for m in manifests for lg in m["langs"]}),
+        "langs": merged_langs,
         "lang_tagged": base["lang_tagged"],
         "n_shards": n_shards,
         "salt_bits": base["salt_bits"],

@@ -2093,7 +2093,7 @@ def _ids_by_residue(index_dir: str, mod: int, residue: int) -> np.ndarray:
     re-tokenization of the corpus).  The filtered id list flows back to
     the driver because the consumers take explicit ids — bounded at
     contract scale; at 10^12 docs the same filter would stream to its
-    consumer (sharded tombstone files / mget request shards)."""
+    consumer (delete batches / mget request shards)."""
     from .build import read_docs
 
     def _flag(t: pa.Table) -> pa.Table:

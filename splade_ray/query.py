@@ -615,9 +615,6 @@ class QueryEngine:
         # semantics).  Range-restricted engines keep only their slice.
         from .delete import tombstone_ordinals
 
-        # range scoping happens inside tombstone_ordinals: under the
-        # sharded tombstone layout only the shard files overlapping this
-        # engine's ordinal slice are ever read
         self.tomb = tombstone_ordinals(core.dir, self.docs,
                                        ord_range=self.ord_range)
 

@@ -48,7 +48,7 @@ from .codecs import (PostingMeta, decode_positions_range, decode_postings,
                      decode_runs, encode_positions, encode_postings_many,
                      take_slices)
 
-# v3: ordinal postings, doc_len in the forward doclens.bin array
+# v3: ordinal postings, doc_len in the forward doc-length array (docmap.py)
 # v4: dictionary rows sorted lexicographically by (term, salt) — readers
 #     binary-search the term column (term_rows), so dict ORDER is load-bearing
 FORMAT_VERSION = 4

@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
+from splade_ray import build
 from splade_ray.build import build_index
 from splade_ray.corpus import generate_corpus, generate_queries
 from splade_ray.delete import (
@@ -26,6 +27,7 @@ from splade_ray.delete import (
     delete_docs,
     read_tombstones,
     tombstone_ordinals,
+    write_tombstones,
 )
 from splade_ray.query import QueryEngine
 from splade_ray.segments import validate_segment
@@ -109,6 +111,17 @@ def test_masked_query_hides_deleted_docs(ray_session):
             merged.extend(_as_l(e.search_one(query, lang or None)))
         merged.sort(key=lambda t: (-t[1], t[0]))
         assert merged[:len(want)] == want, query
+
+    # ord_range scoping == the plain slice of the full ordinal set, and a
+    # range engine masks exactly that slice
+    full = tombstone_ordinals(base)
+    lo, hi = n // 3, (2 * n) // 3
+    want = full[(full >= lo) & (full < hi)]
+    assert len(want) and len(want) < len(full)
+    assert tombstone_ordinals(base, ord_range=(lo, hi)).tolist() == \
+        want.tolist()
+    eng = QueryEngine(base, k=10, ord_range=(lo, hi))
+    assert eng.tomb.tolist() == want.tolist()
 
 
 def test_masked_vs_live_build_same_docs(ray_session):
@@ -221,7 +234,7 @@ def test_merge_propagates_tombstones(ray_session):
     assert len(read_tombstones(cdir)) == 0
 
 
-def test_compact_sharded_docmap_layout(ray_session):
+def test_compact_sharded_docmap_layout(ray_session, monkeypatch):
     """Compaction of a SHARDED-docmap index runs the distributed per-shard
     rewrite and matches the flat-layout compaction exactly."""
     import pyarrow as pa
@@ -232,7 +245,9 @@ def test_compact_sharded_docmap_layout(ray_session):
     root = os.path.join(ROOT, "shardedmap")
     shutil.rmtree(root, ignore_errors=True)
     sh, fl = os.path.join(root, "sh"), os.path.join(root, "fl")
-    build_index(rd.from_arrow(tbl), sh, ordinal_driver_threshold=0, **KW)
+    with monkeypatch.context() as mp:
+        mp.setattr(build, "DRIVER_SORT_MAX_DOCS", 0)
+        build_index(rd.from_arrow(tbl), sh, **KW)
     build_index(rd.from_arrow(tbl), fl, **KW)
     assert os.path.exists(os.path.join(sh, "docmap", "ranges.json"))
     assert os.path.exists(os.path.join(fl, "docmap.bin"))
@@ -287,8 +302,7 @@ def test_compaction_resume_invalidated_by_new_deletes(ray_session):
             QueryEngine(cdir, k=10).docs.docmap_array().tolist())
     finally:
         # restore the canonical tombstone set for the other tests
-        np.asarray(sorted(set(int(x) for x in dead)), dtype=np.int64).tofile(
-            os.path.join(base, "tombstones.bin"))
+        write_tombstones(base, dead)
         shutil.rmtree(cdir, ignore_errors=True)
 
 
@@ -341,105 +355,6 @@ def test_compacted_read_docs_excludes_dead(ray_session):
     served = {r["doc_id"] for r in
               read_docs(cdir, columns=["doc_id"]).take_all()}
     assert not (served & set(int(x) for x in dead))
-
-
-def test_sharded_tombstone_layout(ray_session):
-    """tombstones.d: converting flat -> sharded preserves the ordinal set
-    exactly; delete_docs appends shard-locally; masked queries are
-    identical under either layout; ord_range scoping reads only the
-    overlapping shard files."""
-    from splade_ray.delete import (TOMB_DIR, _tomb_manifest,
-                                   shard_tombstones)
-
-    tbl = generate_corpus(300, seed=44)
-    idx = os.path.join(ROOT, "sharded_tomb")
-    shutil.rmtree(idx, ignore_errors=True)
-    build_index(rd.from_arrow(tbl), idx, **KW)
-    from splade_ray.build import read_docs
-
-    ids = np.sort(np.asarray(
-        [r["doc_id"] for r in read_docs(idx, columns=["doc_id"]).take_all()],
-        dtype=np.int64))
-    delete_docs(idx, ids[::7])
-    flat_ords = tombstone_ordinals(idx)
-    flat_ids = read_tombstones(idx)
-    q = "def import data"
-    flat_res = _as_l(QueryEngine(idx, k=10).search_one(q, None))
-
-    # tiny shard_size so the set spans MANY shard files
-    n_shards = shard_tombstones(idx, shard_size=16)
-    assert n_shards > 3
-    assert not os.path.exists(os.path.join(idx, "tombstones.bin"))
-    man = _tomb_manifest(idx)
-    assert sum(s["count"] for s in man["shards"]) == len(flat_ords)
-    assert tombstone_ordinals(idx).tolist() == flat_ords.tolist()
-    assert read_tombstones(idx).tolist() == flat_ids.tolist()
-    assert _as_l(QueryEngine(idx, k=10).search_one(q, None)) == flat_res
-
-    # ord_range scoping == plain slice of the full ordinal set
-    n_docs = json.load(open(os.path.join(idx, "MANIFEST.json")))["n_docs"]
-    lo, hi = n_docs // 3, (2 * n_docs) // 3
-    scoped = tombstone_ordinals(idx, ord_range=(lo, hi))
-    want = flat_ords[(flat_ords >= lo) & (flat_ords < hi)]
-    assert scoped.tolist() == want.tolist()
-    # and a range-restricted engine sees exactly that slice
-    eng = QueryEngine(idx, k=10, ord_range=(lo, hi))
-    assert eng.tomb.tolist() == want.tolist()
-
-    # append more deletes INTO the sharded layout: shard-local union
-    more = ids[3::11]
-    total = delete_docs(idx, more)
-    want_all = np.union1d(flat_ords, tombstone_ordinals(idx, ord_range=None))
-    assert total == len(np.union1d(
-        flat_ids, np.asarray(sorted(set(more.tolist()) & set(ids.tolist())))))
-    # masked result equals a flat-layout twin with the same delete set
-    twin = os.path.join(ROOT, "sharded_tomb_twin")
-    shutil.rmtree(twin, ignore_errors=True)
-    build_index(rd.from_arrow(tbl), twin, **KW)
-    delete_docs(twin, ids[::7])
-    delete_docs(twin, more)
-    assert read_tombstones(idx).tolist() == read_tombstones(twin).tolist()
-    for scorer in ("taat", "bmw"):
-        a = _as_l(QueryEngine(idx, k=10, scorer=scorer).search_one(q, None))
-        b = _as_l(QueryEngine(twin, k=10, scorer=scorer).search_one(q, None))
-        assert a == b, scorer
-
-    # compaction works identically from the sharded layout
-    cdir = os.path.join(ROOT, "sharded_tomb_compacted")
-    shutil.rmtree(cdir, ignore_errors=True)
-    compact_index(idx, cdir)
-    ctwin = os.path.join(ROOT, "sharded_tomb_twin_compacted")
-    shutil.rmtree(ctwin, ignore_errors=True)
-    compact_index(twin, ctwin)
-    for scorer in ("taat",):
-        a = _as_l(QueryEngine(cdir, k=10, scorer=scorer).search_one(q, None))
-        b = _as_l(QueryEngine(ctwin, k=10, scorer=scorer).search_one(q, None))
-        assert a == b
-    assert not os.path.isdir(os.path.join(cdir, TOMB_DIR))
-
-
-def test_reshard_tombstones_preserves_set(ray_session):
-    """Re-sharding an ALREADY-sharded layout (new shard_size) preserves the
-    delete set exactly and leaves no flat remnant (the flat safety copy
-    written for crash-tolerance is removed once the new layout lands)."""
-    from splade_ray.delete import shard_tombstones
-
-    tbl = generate_corpus(200, seed=45)
-    idx = os.path.join(ROOT, "reshard_tomb")
-    shutil.rmtree(idx, ignore_errors=True)
-    build_index(rd.from_arrow(tbl), idx, **KW)
-    from splade_ray.build import read_docs
-
-    ids = np.sort(np.asarray(
-        [r["doc_id"] for r in read_docs(idx, columns=["doc_id"]).take_all()],
-        dtype=np.int64))
-    delete_docs(idx, ids[::5])
-    want = read_tombstones(idx).tolist()
-    shard_tombstones(idx, shard_size=16)
-    assert read_tombstones(idx).tolist() == want
-    shard_tombstones(idx, shard_size=64)  # re-shard within the sharded layout
-    assert read_tombstones(idx).tolist() == want
-    assert not os.path.exists(os.path.join(idx, "tombstones.bin"))
 
 
 def test_compact_fused_index_empty_docs_sources(ray_session, tmp_path):

@@ -12,6 +12,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from splade_ray import build
 from splade_ray.build import SCORE_SCALE, build_index
 from splade_ray.corpus import generate_corpus
 from splade_ray.docmap import (LANG_MISSING, encode_lang_codes,
@@ -43,8 +44,9 @@ def flat_dir(corpus_table, ray_session):
 def sharded_dir(corpus_table, ray_session):
     idx = os.path.join(ROOT, "sharded")
     shutil.rmtree(idx, ignore_errors=True)
-    build_index(rd.from_arrow(corpus_table).repartition(3), idx,
-                ordinal_driver_threshold=10, **KW)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(build, "DRIVER_SORT_MAX_DOCS", 10)
+        build_index(rd.from_arrow(corpus_table).repartition(3), idx, **KW)
     return idx
 
 
@@ -197,8 +199,9 @@ def test_merge_preserves_langvals_sharded_inputs(corpus_table, ray_session):
                        ("sgen_b", t.slice(t.num_rows // 2))):
         idx = os.path.join(ROOT, name)
         shutil.rmtree(idx, ignore_errors=True)
-        build_index(rd.from_arrow(part).repartition(2), idx,
-                    ordinal_driver_threshold=10, **KW)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(build, "DRIVER_SORT_MAX_DOCS", 10)
+            build_index(rd.from_arrow(part).repartition(2), idx, **KW)
         dirs.append(idx)
     out = os.path.join(ROOT, "smerged")
     shutil.rmtree(out, ignore_errors=True)

@@ -131,7 +131,8 @@ def test_resume_keeps_segments_and_hot_set(corpus_table, ray_session,
                 hot_df_min=40, corpus_fp=fp, **KW)
     out = _diff_index(ref, idx)
     assert out.returncode == 0, out.stdout
-    assert out.stdout.count(" same\n") == len(segs)
+    # every segment, then the forward arrays and tombstones ("docs same")
+    assert out.stdout.count(" same\n") == len(segs) + 1
     assert _manifest(idx)["hot_terms"] == _manifest(ref)["hot_terms"]
     # the fold kept every term (the corpus vocabulary is below capacity),
     # so the hot set is exactly the terms whose df reaches the threshold

@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from splade_ray import build
 from splade_ray.build import SCORE_SCALE, build_index
 from splade_ray.corpus import generate_corpus, generate_queries
 from splade_ray.oracle import OracleIndex
@@ -184,8 +185,9 @@ def test_partitioning_invariance(ray_session, corpus_table, oracle):
         assert got == want, (qid, query)
 
 
-def test_distributed_ordinal_path_parity(corpus_table, oracle, ray_session):
-    """ordinal_driver_threshold=0 forces the distributed-sort ordinal pass,
+def test_distributed_ordinal_path_parity(corpus_table, oracle, ray_session,
+                                        monkeypatch):
+    """DRIVER_SORT_MAX_DOCS=0 forces the distributed-sort ordinal pass,
     which now writes the PER-RANGE-SHARDED docmap layout (sort output tasks
     write their own shard files); its logical content must be identical to
     the driver-argsort flat layout, and queries over the sharded-docmap
@@ -201,8 +203,9 @@ def test_distributed_ordinal_path_parity(corpus_table, oracle, ray_session):
     ds = rd.from_arrow(corpus_table).repartition(4)
     m_drv = build_index(ds, os.path.join(base, "drv"), lang_tagged=True,
                         n_shards=4)
+    monkeypatch.setattr(build, "DRIVER_SORT_MAX_DOCS", 0)
     m_dist = build_index(ds, os.path.join(base, "dist"), lang_tagged=True,
-                         n_shards=4, ordinal_driver_threshold=0)
+                         n_shards=4)
     assert m_drv["n_postings"] == m_dist["n_postings"]
     assert abs(m_drv["avgdl"] - m_dist["avgdl"]) < 1e-12
     assert m_drv["langs"] == m_dist["langs"]
@@ -225,27 +228,6 @@ def test_distributed_ordinal_path_parity(corpus_table, oracle, ray_session):
         ids, units = engine.search_one(query, lang or None)
         got = [(int(d), u / SCORE_SCALE) for d, u in zip(ids, units)]
         assert got == oracle.search(query, lang or None, k=10)
-    shutil.rmtree(base, ignore_errors=True)
-
-
-def test_ordinal_bytes_budget_forces_distributed(corpus_table, ray_session):
-    """A bytes budget the corpus can't fit under (even though the row-count
-    threshold allows the driver path) must route to the distributed-sort
-    ordinal pass — same manifest stats, sharded docmap layout."""
-    from splade_ray.docmap import ShardedDocArrays, open_doc_arrays
-
-    base = "/tmp/splade_ray_ordbudget"
-    shutil.rmtree(base, ignore_errors=True)
-    ds = rd.from_arrow(corpus_table).repartition(4)
-    m_drv = build_index(ds, os.path.join(base, "drv"), lang_tagged=True,
-                        n_shards=4)
-    m_b = build_index(ds, os.path.join(base, "b"), lang_tagged=True,
-                      n_shards=4, ordinal_driver_bytes_budget=0)
-    assert isinstance(open_doc_arrays(os.path.join(base, "b")),
-                      ShardedDocArrays)
-    assert m_b["n_postings"] == m_drv["n_postings"]
-    assert abs(m_b["avgdl"] - m_drv["avgdl"]) < 1e-12
-    assert m_b["langs"] == m_drv["langs"]
     shutil.rmtree(base, ignore_errors=True)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import ray.data as rd
 
+from splade_ray import build
 from splade_ray.build import build_index
 from splade_ray.corpus import generate_corpus
 from splade_ray.oracle import OracleIndex
@@ -40,8 +41,9 @@ def flat_dir(corpus_table, ray_session):
 def sharded_dir(corpus_table, ray_session):
     idx = os.path.join(ROOT, "sharded")
     shutil.rmtree(idx, ignore_errors=True)
-    build_index(rd.from_arrow(corpus_table).repartition(3), idx,
-                ordinal_driver_threshold=10, **KW)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(build, "DRIVER_SORT_MAX_DOCS", 10)
+        build_index(rd.from_arrow(corpus_table).repartition(3), idx, **KW)
     return idx
 
 

@@ -16,6 +16,14 @@ builds whose hot sets differ write different dictionary rows for exactly
 those terms, so a segment difference with a non-empty hot-set difference
 may come from salting alone.  Neither changes the exit code.
 
+Last, per side, the sha256 of the forward arrays (doc ids, doc lengths and
+global lang codes by ordinal) and of the tombstone set, both read through
+the library (``docmap.open_doc_arrays``, ``delete.read_tombstones``), so a
+flat and a sharded forward-array layout of the same docs compare equal;
+then ``docs same`` or ``docs DIFFERENT``.  Unlike manifests these do not
+differ by design between two builds of the same content, so a difference
+counts in the exit code.
+
 Usage: python tools/diff_index.py A B
 """
 
@@ -26,7 +34,10 @@ import json
 import os
 import sys
 
+import numpy as np
 import pyarrow.parquet as pq
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def _sha_file(path: str) -> str:
@@ -47,6 +58,20 @@ def segment_digest(seg_dir: str) -> tuple[str, str, str]:
     return (_sha_file(os.path.join(seg_dir, "postings.bin")),
             _sha_file(os.path.join(seg_dir, "positions.bin")),
             hashlib.sha256(rows.encode()).hexdigest())
+
+
+def docs_digest(index_dir: str) -> tuple[str, str]:
+    """(forward arrays sha256, tombstones sha256)."""
+    from splade_ray.delete import read_tombstones
+    from splade_ray.docmap import open_doc_arrays
+
+    docs = open_doc_arrays(index_dir)
+    h = hashlib.sha256()
+    for arr in (docs.docmap_array(), docs.doclens_array(),
+                docs.langvals_array() if docs.has_langvals else []):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    tombs = read_tombstones(index_dir)
+    return h.hexdigest(), hashlib.sha256(tombs.tobytes()).hexdigest()
 
 
 def _manifest(index_dir: str) -> dict:
@@ -94,7 +119,13 @@ def main(argv: list[str]) -> int:
     for side, other in (("A", "B"), ("B", "A")):
         only = sorted(hot[side] - hot[other])
         print(f"hot_terms only in {side} ({len(only)}): {' '.join(only)}")
-    return 1 if bad else 0
+    docs = []
+    for side, root in (("A", a), ("B", b)):
+        docs.append(docs_digest(root))
+        print(f"{side} docs arrays={docs[-1][0]} tombstones={docs[-1][1]}")
+    docs_same = docs[0] == docs[1]
+    print(f"docs {'same' if docs_same else 'DIFFERENT'}")
+    return 1 if bad or not docs_same else 0
 
 
 if __name__ == "__main__":
